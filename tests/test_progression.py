@@ -1,23 +1,31 @@
 import random
+from unittest import mock
+
+from hypothesis import given, strategies as st
 
 from ltlgen import (
     And,
     Atom,
+    AtomicProposition,
     FALSE,
+    GuiAction,
     Next,
     Not,
     TRUE,
     Until,
     Verdict,
+    action_labeling,
     advance,
     evaluate,
     expand,
     parse,
     projection,
+    prune_and_predict,
     restrict,
     shaped_reward,
     simplify,
 )
+from ltlgen import engine, progression
 from helpers import P, Q, enumerate_formulas, lab, random_formula
 
 # The worked example's objective: first reach a Q-position via P-positions,
@@ -222,3 +230,51 @@ def test_random_formulas_agree_with_oracle():
     rng = random.Random(23)
     for _ in range(150):
         _resolved_matches_oracle(random_formula(rng, 5, [TRUE, Atom(P), Atom(Q)]))
+
+
+# --- memoized projection and screening against the uncached pipeline ---
+
+CLICK = AtomicProposition("actionType", "=", "click")
+GO = AtomicProposition("actionDetail", "~", "Go")
+MEMO_LEAVES = [TRUE, Atom(P), Atom(Q), Atom(CLICK), Atom(GO)]
+MEMO_LABELINGS = [lab(), lab(P), lab(Q, CLICK), lab(P, Q, CLICK, GO)]
+ACTIONS = [
+    GuiAction("back"),
+    GuiAction("click", ("5", "5"), "0:0", "Go"),
+    GuiAction("click", ("7", "7"), "0:1", "Stop"),
+]
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@given(seeds)
+def test_memoized_projection_matches_direct_pipeline(seed):
+    phi = random_formula(random.Random(seed), 8, MEMO_LEAVES)
+    expected = [simplify(advance(restrict(expand(phi), labels))) for labels in MEMO_LABELINGS]
+    with mock.patch.object(progression, "_PROJECTIONS", {}):
+        first = [projection(phi, labels) for labels in MEMO_LABELINGS]
+        repeat = [projection(phi, labels) for labels in MEMO_LABELINGS]
+    assert [verdict.formula for verdict in first] == expected
+    assert all(again is verdict for again, verdict in zip(repeat, first))
+
+
+@given(seeds)
+def test_memoized_screening_matches_direct_pipeline(seed):
+    phi = random_formula(random.Random(seed), 8, MEMO_LEAVES)
+    alphabet = frozenset((CLICK, GO))
+    kinds = {}
+    residues = {}
+    for action in ACTIONS:
+        labels = action_labeling(action, alphabet)
+        residue = simplify(advance(restrict(expand(phi), labels, action_only=True)))
+        kinds[action] = (
+            engine.SATISFIED if residue is TRUE
+            else engine.DEAD_END if residue is FALSE
+            else engine.CONTINUE
+        )
+        residues[(phi, labels.atoms)] = residue
+    table: dict = {}
+    with mock.patch.object(engine, "_RESIDUES", table):
+        for _ in range(2):
+            for action in ACTIONS:
+                assert prune_and_predict(phi, (), [action], alphabet).kind == kinds[action]
+    assert table == residues
