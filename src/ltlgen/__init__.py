@@ -8,13 +8,8 @@ replayable test.
 
 from .engine import (
     Decision,
-    EpisodeLog,
-    GenerationResult,
     LearnerConfig,
-    Prediction,
     QStore,
-    RunStats,
-    StepRecord,
     anneal,
     decide_next_action,
     generate,
@@ -45,14 +40,10 @@ from .formula import (
 )
 from .model import (
     ActionNotEnabled,
-    AppModel,
     DONT_CARE,
     EnvSession,
     GuiAction,
-    GuiState,
-    MissingTransition,
     ModelError,
-    Widget,
     action_labeling,
     load_model,
     load_test,
@@ -70,32 +61,23 @@ __all__ = [
     "Atom",
     "AtomicProposition",
     "ActionNotEnabled",
-    "AppModel",
     "DONT_CARE",
     "Decision",
     "EnvSession",
-    "EpisodeLog",
     "FALSE",
     "Formula",
-    "GenerationResult",
     "GuiAction",
-    "GuiState",
     "Labeling",
     "LearnerConfig",
-    "MissingTransition",
     "ModelError",
     "Next",
     "Not",
     "ParseError",
-    "Prediction",
     "QStore",
-    "RunStats",
-    "StepRecord",
     "TRUE",
     "Truth",
     "Until",
     "Verdict",
-    "Widget",
     "action_labeling",
     "advance",
     "anneal",

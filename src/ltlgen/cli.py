@@ -14,15 +14,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from .engine import (
-    EpisodeLog,
-    GenerationResult,
-    LearnerConfig,
-    RunStats,
-    generate,
-    random_policy_generate,
-    replay,
-)
+from .engine import ENGINES, EpisodeLog, GenerationResult, LearnerConfig, RunStats, replay
 from .formula import Formula, render
 from .model import (
     ActionNotEnabled,
@@ -71,7 +63,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_engine(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--engine", choices=("farlead", "random"), default="farlead",
+        "--engine", choices=tuple(ENGINES), default="farlead",
         help="learning engine or the uniform-random baseline",
     )
     for flag, kind, help_text in _CONFIG_FLAGS:
@@ -150,7 +142,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[AppModel, Formula]:
     else:
         try:
             text = Path(args.formula_file).read_text(encoding="utf-8").strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read formula file: {exc}", 0) from exc
     return model, parse(text)
 
@@ -189,8 +181,7 @@ def _stats_line(stats: RunStats, no_timing: bool) -> str:
 def cmd_generate(args: argparse.Namespace) -> int:
     model, phi = _load_inputs(args)
     config = _config_from_args(args)
-    engine = generate if args.engine == "farlead" else random_policy_generate
-    result = engine(model, phi, config)
+    result = ENGINES[args.engine](model, phi, config)
     _emit_logs(args, result)
     print(_stats_line(result.stats, args.no_timing))
     if not result.satisfied:
@@ -221,7 +212,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ValueError("--reps must be >= 1")
     base_config = _config_from_args(args)
-    engine = generate if args.engine == "farlead" else random_policy_generate
+    engine = ENGINES[args.engine]
     rows: list[RunStats] = []
     for rep in range(args.reps):
         config = dataclasses.replace(base_config, seed=args.seed + rep)
@@ -252,6 +243,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"formula error: {exc}", file=sys.stderr)
+        return EXIT_FORMULA_ERROR
+    except RecursionError:
+        # Formula trees are walked recursively; the model and test loaders
+        # turn their own deep nesting into ModelError.
+        print("formula error: the formula or its obligation nests too deeply", file=sys.stderr)
         return EXIT_FORMULA_ERROR
     except (ModelError, ActionNotEnabled, MissingTransition) as exc:
         print(f"model error: {exc}", file=sys.stderr)

@@ -12,6 +12,9 @@ before execution, an action whose labels alone satisfy it is taken
 immediately, and if nothing survives the previous decision is charged with
 the dead end.  Like projection, the screening residue of an obligation
 under an action labeling is computed once per process and then looked up.
+
+``run_episode`` is the only loop that executes actions: the uniform
+baseline and replay run through it with a fixed way to pick each action.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .formula import (
     AtomicProposition,
@@ -43,6 +47,10 @@ from .model import (
 from .progression import advance, expand, projection, restrict, shaped_reward
 
 Tail = tuple[tuple[ActionSig, str], ...]
+# Chooses the action of step k from the enabled ones, in place of the learner.
+# Built from collections.abc: typing caches subscripted aliases, and that
+# cache would keep every re-imported copy of this package alive.
+Pick = Callable[[int, Sequence[GuiAction]], GuiAction]
 
 
 class Decision(NamedTuple):
@@ -126,14 +134,13 @@ class QStore:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One executed action: its labeling, the remaining obligation, reward, update."""
+    """One executed action: its labeling, the remaining obligation and its reward."""
 
     index: int
     action: GuiAction
     labels: Labeling
     formula: Formula
     reward: float
-    delta: float
 
 
 @dataclass
@@ -263,7 +270,6 @@ def learn(
     config: LearnerConfig,
     eta: float,
     rng: random.Random,
-    is_new_state: bool | None = None,
     action_labels: Labeling | None = None,
 ) -> float:
     """One reinforcement: myopic update swept over all eligible decisions.
@@ -276,10 +282,8 @@ def learn(
     if action_labels is None:
         action_labels = store.action_labels.get(decision.action, Labeling())
     store.action_labels.setdefault(decision.action, action_labels)
-    if is_new_state is None:
-        is_new_state = decision.tail not in store.seen_tails
-    store.seen_tails.add(decision.tail)
-    if is_new_state:
+    if decision.tail not in store.seen_tails:
+        store.seen_tails.add(decision.tail)
         store.q1[decision] = store.qa1.get(action_labels, 0.0)
     delta = reward - store.q1.get(decision, 0.0)
     store.elig[decision] = store.elig.get(decision, 0.0) + 1.0
@@ -326,10 +330,15 @@ def run_episode(
     eta: float | None = None,
     policy_rng: random.Random | None = None,
     swap_rng: random.Random | None = None,
-    learning: bool = True,
+    pick: Pick | None = None,
 ) -> EpisodeLog:
     """Drive one episode from the don't-care state until the verdict resolves
-    or the step budget runs out.  Clears the eligibility trace first."""
+    or the step budget runs out.  Clears the eligibility trace first.
+
+    Without ``pick`` the learner screens, chooses and learns.  With it, step
+    ``k`` executes ``pick(k, enabled)`` and nothing is screened or learned;
+    the uniform baseline and replay are such picks.
+    """
     if temperature is None:
         temperature = config.t0
     if epsilon is None:
@@ -352,16 +361,18 @@ def run_episode(
     outcome = "exhausted"
     for k in range(config.steps):
         enabled = session.enabled_actions()
-        if learning and config.predict:
+        if pick is not None:
+            action = pick(k, enabled)
+        elif config.predict:
             prediction = prune_and_predict(phi, tail, enabled, action_alphabet)
             if prediction.kind == DEAD_END:
                 if previous is not None:
                     prev_decision, prev_labels = previous
-                    delta = learn(
+                    learn(
                         store, prev_decision, -1.0, config, eta, swap_rng,
                         action_labels=prev_labels,
                     )
-                    steps[-1] = replace(steps[-1], reward=-1.0, delta=delta)
+                    steps[-1] = replace(steps[-1], reward=-1.0)
                 outcome = "dead_end"
                 break
             if prediction.kind == SATISFIED:
@@ -375,29 +386,22 @@ def run_episode(
                 )
                 action = by_decision[decision]
         else:
-            candidates = [(Decision(tail, a.signature), a) for a in enabled]
-            by_decision = dict(candidates)
-            if learning:
-                decision = decide_next_action(
-                    store, list(by_decision), temperature, epsilon, policy_rng
-                )
-            else:
-                decision = candidates[policy_rng.randrange(len(candidates))][0]
+            by_decision = {Decision(tail, a.signature): a for a in enabled}
+            decision = decide_next_action(
+                store, list(by_decision), temperature, epsilon, policy_rng
+            )
             action = by_decision[decision]
         state = session.execute(action)
         action_labels = action_labeling(action, action_alphabet)
         labels = action_labels | state_labeling(state, state_alphabet)
         verdict = projection(phi, labels)
         reward = shaped_reward(phi, verdict, config.shaping)
-        delta = 0.0
-        if learning:
-            delta = learn(
-                store, decision, reward, config, eta, swap_rng, action_labels=action_labels
-            )
-        steps.append(StepRecord(k, action, labels, verdict.formula, reward, delta))
+        if pick is None:
+            learn(store, decision, reward, config, eta, swap_rng, action_labels=action_labels)
+            previous = (decision, action_labels)
+        steps.append(StepRecord(k, action, labels, verdict.formula, reward))
         if config.tail_length > 0:
             tail = (tail + ((action.signature, state.id),))[-config.tail_length:]
-        previous = (decision, action_labels)
         phi = verdict.formula
         if verdict.is_true:
             outcome = "satisfied"
@@ -408,7 +412,17 @@ def run_episode(
     return EpisodeLog(index, steps, outcome)
 
 
-def _drive(model: AppModel, phi0: Formula, config: LearnerConfig, learning: bool) -> GenerationResult:
+def _uniform(rng: random.Random) -> Pick:
+    """The baseline's pick: one uniform draw from the enabled actions per step."""
+    return lambda k, enabled: enabled[rng.randrange(len(enabled))]
+
+
+def _drive(
+    model: AppModel,
+    phi0: Formula,
+    config: LearnerConfig,
+    policy: Callable[[random.Random], Pick] | None = None,
+) -> GenerationResult:
     config.validate()
     phi = simplify(phi0)
     master = random.Random(config.seed)
@@ -416,6 +430,7 @@ def _drive(model: AppModel, phi0: Formula, config: LearnerConfig, learning: bool
     swap_rng = random.Random(master.getrandbits(64))
     session = EnvSession(model, seed=master.getrandbits(64))
     store = QStore()
+    pick = None if policy is None else policy(policy_rng)
     temperature, epsilon, eta = config.t0, config.eps0, config.eta0
     start = time.monotonic()
     logs: list[EpisodeLog] = []
@@ -433,7 +448,7 @@ def _drive(model: AppModel, phi0: Formula, config: LearnerConfig, learning: bool
             eta=eta,
             policy_rng=policy_rng,
             swap_rng=swap_rng,
-            learning=learning,
+            pick=pick,
         )
         logs.append(log)
         total_steps += len(log.steps)
@@ -449,13 +464,17 @@ def _drive(model: AppModel, phi0: Formula, config: LearnerConfig, learning: bool
 
 def generate(model: AppModel, phi0: Formula, config: LearnerConfig) -> GenerationResult:
     """Learn and return a satisfying test, or exhaust the episode budget."""
-    return _drive(model, phi0, config, learning=True)
+    return _drive(model, phi0, config)
 
 
 def random_policy_generate(model: AppModel, phi0: Formula, config: LearnerConfig) -> GenerationResult:
     """Baseline: uniform action choice, no learning, no screening; the
     formula is still checked by projection after every step."""
-    return _drive(model, phi0, config, learning=False)
+    return _drive(model, phi0, config, _uniform)
+
+
+# The engines the command line offers, by the name of its --engine choice.
+ENGINES = {"farlead": generate, "random": random_policy_generate}
 
 
 def replay(
@@ -463,45 +482,24 @@ def replay(
     test: Sequence[GuiAction] | Sequence[tuple[str, tuple[str, ...]]],
     phi0: Formula,
     seed: int = 0,
-    shaping: bool = True,
 ) -> EpisodeLog:
     """Execute a fixed action sequence and report per-step rewards and the
     final verdict.  Stops early once the verdict resolves."""
     session = EnvSession(model, seed=seed)
-    phi = simplify(phi0)
-    alphabet = atom_set(phi)
-    action_alphabet = frozenset(a for a in alphabet if a.is_action)
-    state_alphabet = alphabet - action_alphabet
-    steps: list[StepRecord] = []
-    outcome = "exhausted"
-    for k, item in enumerate(test):
-        action = _resolve_action(session, item, k)
-        state = session.execute(action)
-        labels = action_labeling(action, action_alphabet) | state_labeling(state, state_alphabet)
-        verdict = projection(phi, labels)
-        reward = shaped_reward(phi, verdict, shaping)
-        steps.append(StepRecord(k, action, labels, verdict.formula, reward, 0.0))
-        phi = verdict.formula
-        if verdict.is_true:
-            outcome = "satisfied"
-            break
-        if verdict.is_false:
-            outcome = "falsified"
-            break
-    return EpisodeLog(1, steps, outcome)
 
+    def pick(k: int, enabled: Sequence[GuiAction]) -> GuiAction:
+        item = test[k]
+        if isinstance(item, GuiAction):
+            wanted = (item.action_type, item.params)
+        else:
+            wanted = (item[0], tuple(item[1]))
+        for action in enabled:
+            if (action.action_type, action.params) == wanted:
+                return action
+        description = " ".join((wanted[0],) + wanted[1])
+        raise ActionNotEnabled(
+            f"step {k}: {description!r} is not enabled in state {session.current.id!r}"
+        )
 
-def _resolve_action(
-    session: EnvSession, item: GuiAction | tuple[str, tuple[str, ...]], index: int
-) -> GuiAction:
-    if isinstance(item, GuiAction):
-        wanted_type, wanted_params = item.action_type, item.params
-    else:
-        wanted_type, wanted_params = item[0], tuple(item[1])
-    for action in session.enabled_actions():
-        if action.action_type == wanted_type and action.params == wanted_params:
-            return action
-    wanted = " ".join((wanted_type,) + wanted_params)
-    raise ActionNotEnabled(
-        f"step {index}: {wanted!r} is not enabled in state {session.current.id!r}"
-    )
+    config = LearnerConfig(steps=len(test))
+    return run_episode(session, simplify(phi0), QStore(), config, pick=pick)

@@ -204,26 +204,8 @@ class Labeling:
 
     atoms: frozenset[AtomicProposition] = frozenset()
 
-    @classmethod
-    def of(cls, *atoms: AtomicProposition) -> Labeling:
-        return cls(frozenset(atoms))
-
-    @property
-    def state_atoms(self) -> frozenset[AtomicProposition]:
-        return frozenset(a for a in self.atoms if not a.is_action)
-
-    @property
-    def action_atoms(self) -> frozenset[AtomicProposition]:
-        return frozenset(a for a in self.atoms if a.is_action)
-
     def __contains__(self, ap: object) -> bool:
         return ap in self.atoms
-
-    def __iter__(self):
-        return iter(sorted(self.atoms))
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
     def __or__(self, other: Labeling) -> Labeling:
         return Labeling(self.atoms | other.atoms)
@@ -249,17 +231,6 @@ class Verdict:
     @property
     def is_false(self) -> bool:
         return self.formula == FALSE
-
-    @property
-    def is_undetermined(self) -> bool:
-        return not (self.is_true or self.is_false)
-
-    def __str__(self) -> str:
-        if self.is_true:
-            return "satisfied"
-        if self.is_false:
-            return "falsified"
-        return f"undetermined: {render(self.formula)}"
 
 
 # Renderer precedence; higher binds tighter.  The parser accepts the same

@@ -282,18 +282,21 @@ def model_from_dict(data: object, source: str = "<model>") -> AppModel:
     return AppModel(screen, dict(initial_raw), states, enabled, transitions)
 
 
+def _read_json(path: Path) -> object:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ModelError(f"{path}: JSON nested too deeply") from None
+
+
 def load_model(path: str | Path) -> AppModel:
     """Load and validate a model file."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ModelError(f"{path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return model_from_dict(data, source=str(path))
+    return model_from_dict(_read_json(path), source=str(path))
 
 
 class EnvSession:
@@ -308,11 +311,9 @@ class EnvSession:
         self.model = model
         self._rng = random.Random(seed)
         self.current = DONT_CARE
-        self.step_count = 0
 
     def reset(self) -> None:
         self.current = DONT_CARE
-        self.step_count = 0
 
     def enabled_actions(self) -> list[GuiAction]:
         return list(self.model.enabled_in(self.current))
@@ -335,7 +336,6 @@ class EnvSession:
                     target = state_id
                     break
         self.current = self.model.states[target]
-        self.step_count += 1
         return self.current
 
 
@@ -392,12 +392,7 @@ def save_test(path: str | Path, actions: Sequence[GuiAction]) -> None:
 def load_test(path: str | Path) -> list[tuple[str, tuple[str, ...]]]:
     """Read a replayable test file back as (type, params) records."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ModelError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    data = _read_json(path)
     if not isinstance(data, list):
         raise ModelError(f"{path}: test file must be a JSON list of action records")
     records = []

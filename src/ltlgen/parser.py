@@ -179,6 +179,9 @@ def _or(left: Formula, right: Formula) -> Formula:
 def parse(text: str) -> Formula:
     """Parse formula text into a desugared, unsimplified tree."""
     parser = _Parser(_tokenize(text))
-    phi = parser.formula()
+    try:
+        phi = parser.formula()
+    except RecursionError:
+        raise ParseError("formula nests too deeply", parser._peek().pos) from None
     parser.finish()
     return phi

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -14,10 +15,11 @@ from ltlgen.cli import (
     _CONFIG_FLAGS,
     main,
 )
-from conftest import GO_ABOUT_AND_BACK, MODELS
+from conftest import GO_ABOUT_AND_BACK, MODELS, NEEDLE_B
 
 CHESSWALK = str(MODELS / "chesswalk_abstract.json")
 FLAKY = str(MODELS / "flaky.json")
+NEEDLE = str(MODELS / "needle.json")
 SRC = MODELS.parent / "src"
 FLOAT_FLAGS = [flag for flag, kind, _ in _CONFIG_FLAGS if kind is float]
 
@@ -125,6 +127,78 @@ def test_unwritable_csv_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("output error: ") and err.count("\n") == 1
 
+
+@pytest.mark.parametrize("flag, expected_code, prefix", [
+    ("--model", EXIT_MODEL_ERROR, "model error: "),
+    ("--test", EXIT_MODEL_ERROR, "model error: "),
+    ("--formula-file", EXIT_FORMULA_ERROR, "formula error: "),
+])
+def test_undecodable_input_file_exit(flag, expected_code, prefix, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe[")
+    empty_test = tmp_path / "t.json"
+    empty_test.write_text("[]")
+    inputs = {"--model": CHESSWALK, "--test": str(empty_test), "--formula": "true"}
+    if flag == "--formula-file":
+        del inputs["--formula"]
+    inputs[flag] = str(bad)
+    assert run("replay", *(part for item in inputs.items() for part in item)) == expected_code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def _deep_json(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+# Each input nests far beyond the interpreter's recursion limit.  The limit
+# is lowered while they run so that the obligation of G F, which grows by
+# one conjunct per step and costs more to rewrite at each, reaches it in a
+# few hundred steps rather than a thousand.
+DEEP_INPUTS = {
+    "model-json": (
+        lambda tmp: ("generate", "--model", _deep_json(tmp / "m.json"), "--formula", "true"),
+        EXIT_MODEL_ERROR, "model error: ",
+    ),
+    "test-json": (
+        lambda tmp: ("replay", "--model", CHESSWALK, "--formula", "true",
+                     "--test", _deep_json(tmp / "t.json")),
+        EXIT_MODEL_ERROR, "model error: ",
+    ),
+    "next-chain": (
+        lambda tmp: ("generate", "--model", CHESSWALK, "--formula", "X " * 3000 + "[activity~Main]"),
+        EXIT_FORMULA_ERROR, "formula error: formula nests too deeply",
+    ),
+    "conjuncts": (
+        lambda tmp: ("generate", "--model", CHESSWALK,
+                     "--formula", " & ".join(f"[activity~A{i}]" for i in range(2000))),
+        EXIT_FORMULA_ERROR, "formula error: the formula or its obligation nests too deeply",
+    ),
+    "growing-obligation": (
+        lambda tmp: ("generate", "--model", CHESSWALK, "--formula", "G F [activity~About]",
+                     "--steps", "3000"),
+        EXIT_FORMULA_ERROR, "formula error: the formula or its obligation nests too deeply",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
+def test_deep_nesting_exits_with_one_line(name, tmp_path, capsys):
+    argv, expected_code, prefix = DEEP_INPUTS[name]
+    args = argv(tmp_path)
+    if args[0] == "generate":
+        args = (*args, "-o", str(tmp_path / "out.json"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        code = run(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == expected_code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
 
 def test_usage_error_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as info:
@@ -263,3 +337,53 @@ def test_artifacts_identical_across_hash_seeds(tmp_path):
     second = _artifacts_under_hash_seed("1", tmp_path / "seed1")
     assert sorted(first) == ["episodes.log", "experiment.stdout", "generate.stdout", "runs.csv", "test.json"]
     assert first == second
+
+
+# sha256 of every --no-timing artifact of four fixed runs, taken before the
+# learner, the random baseline and replay shared one episode loop.  Any
+# change to a test file, an episode log, an experiment CSV or replay output
+# shows here.
+# The formula has no action predicates, so screening prunes nothing on
+# chesswalk and both chesswalk runs write the same bytes.
+_CHESSWALK_DIGESTS = {
+        "test": "d7c61e09ba3b0fb1dca0f85856df13649b01e7c19aa3fc4729ab796f25affbb6",
+        "log": "706e531d26dc9adc7c2d8b16958cc27e3dfa3598747289267127e375978ad80e",
+        "csv": "dcd01e1c59ff42caf2e8a2dc55d8b9ec2cce55db89b4bf92d8e6550d2340f691",
+        "replay": "74c843e4ec77d08e36f24cdda2202c482eee0f99de7d7e08cce3bd00e7fff118",
+    }
+PINNED_RUNS = {
+    "needle-b-learner": (NEEDLE, NEEDLE_B, ("--seed", "0"), {
+        "test": "ebc3a467743bebf010b7f65f08418beddb78a388202c80f47afb4ae042a42c5f",
+        "log": "292cd2da1276e5d2a5dedcdbfdfc4ee9fe4d6f0955ae46ff4b8bed09a9b34fc9",
+        "csv": "5fdc43da41c4547572e2f5146fc0fd1b7992328fe6c367184cb4241f5a8f103e",
+        "replay": "8711aaf6ea764e7e2f88cf9f1e51bd10e0a06a43cc16fc24e19ff006446bf62d",
+    }),
+    "needle-b-random": (NEEDLE, NEEDLE_B, ("--seed", "0", "--engine", "random"), {
+        "test": "ebc3a467743bebf010b7f65f08418beddb78a388202c80f47afb4ae042a42c5f",
+        "log": "b4fa00d6041196a8627c3d6b2dcaad52a7867fe903487c3ddcfe42923accab1a",
+        "csv": "d8d633e2f9a290f668e2583bc86c1c4f0232a6c254d627ec36bad9c8f16cffe7",
+        "replay": "8711aaf6ea764e7e2f88cf9f1e51bd10e0a06a43cc16fc24e19ff006446bf62d",
+    }),
+    "chesswalk-learner": (CHESSWALK, GO_ABOUT_AND_BACK, ("--seed", "7"), _CHESSWALK_DIGESTS),
+    "chesswalk-no-prediction": (
+        CHESSWALK, GO_ABOUT_AND_BACK, ("--seed", "7", "--no-prediction"), _CHESSWALK_DIGESTS,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_pinned_artifact_digests(name, tmp_path, capsys):
+    model, formula, flags, expected = PINNED_RUNS[name]
+    common = ("--model", model, "--formula", formula)
+    test, log, csv = tmp_path / "test.json", tmp_path / "episodes.log", tmp_path / "runs.csv"
+    assert run("generate", *common, *flags, "--no-timing", "-o", str(test), "--log", str(log)) == EXIT_OK
+    assert run("experiment", *common, *flags, "--no-timing", "--reps", "3", "--csv", str(csv)) == EXIT_OK
+    capsys.readouterr()
+    assert run("replay", *common, "--seed", "0", "--test", str(test), "--times", "2") == EXIT_OK
+    artifacts = {
+        "test": test.read_bytes(),
+        "log": log.read_bytes(),
+        "csv": csv.read_bytes(),
+        "replay": capsys.readouterr().out.encode(),
+    }
+    assert {key: hashlib.sha256(data).hexdigest() for key, data in artifacts.items()} == expected

@@ -25,8 +25,8 @@ from ltlgen import (
     run_episode,
 )
 from ltlgen.engine import CONTINUE, DEAD_END, SATISFIED
-from conftest import GO_ABOUT_AND_BACK
-from helpers import FixedRoll
+from conftest import GO_ABOUT_AND_BACK, NEEDLE_A, NEEDLE_B, NEEDLE_C
+from helpers import FixedRoll, lab
 
 BACK = GuiAction("back")
 CLICK = GuiAction("click", ("10", "10"), "0:0", "Go")
@@ -146,7 +146,7 @@ def test_zero_doubleness_keeps_tables_equal():
 
 def test_new_tail_bootstraps_from_stateless_table():
     store = QStore()
-    labels = Labeling.of(TYPE_PAUSE)
+    labels = lab(TYPE_PAUSE)
     store.qa1[labels] = 0.7
     config = dataclasses.replace(LearnerConfig(), vigilance=10.0)
     d = decision_for(PAUSE)
@@ -156,7 +156,7 @@ def test_new_tail_bootstraps_from_stateless_table():
 
 def test_seen_tail_skips_bootstrap():
     store = QStore()
-    labels = Labeling.of(TYPE_PAUSE)
+    labels = lab(TYPE_PAUSE)
     config = dataclasses.replace(LearnerConfig(), vigilance=10.0)
     learn(store, decision_for(BACK), 0.5, config, eta=1.0, rng=FixedRoll(0.9), action_labels=Labeling())
     store.qa1[labels] = 0.7
@@ -400,6 +400,28 @@ def test_replay_rejects_unavailable_action(chesswalk):
 
     with pytest.raises(ActionNotEnabled, match="step 0"):
         replay(chesswalk, [("click", ("1", "1"))], parse(GO_ABOUT_AND_BACK))
+
+
+@pytest.mark.parametrize("engine", [generate, random_policy_generate])
+@pytest.mark.parametrize("model_name, formula", [
+    ("needle", NEEDLE_A),
+    ("needle", NEEDLE_B),
+    ("needle", NEEDLE_C),
+    ("chesswalk", GO_ABOUT_AND_BACK),
+])
+def test_replay_reproduces_the_generating_episode(engine, model_name, formula, request):
+    model = request.getfixturevalue(model_name)
+    phi = parse(formula)
+    config = dataclasses.replace(LearnerConfig(), seed=0)
+    result = engine(model, phi, config)
+    assert result.satisfied
+    replayed = replay(model, result.test, phi, seed=config.seed)
+
+    def records(log):
+        return [(r.index, r.action, r.labels, r.formula, r.reward) for r in log.steps]
+
+    assert replayed.outcome == "satisfied"
+    assert records(replayed) == records(result.episodes[-1])
 
 
 def test_replay_reports_reliability_on_stochastic_model(flaky):

