@@ -11,7 +11,9 @@ labels alone: actions whose labels already falsify the formula are dropped
 before execution, an action whose labels alone satisfy it is taken
 immediately, and if nothing survives the previous decision is charged with
 the dead end.  Like projection, the screening residue of an obligation
-under an action labeling is computed once per process and then looked up.
+under an action labeling is computed once per process and then looked up,
+and so is the labeling of an action under an alphabet.  The full labeling
+of a step is looked up per run, by the action and the resulting state.
 
 ``run_episode`` is the only loop that executes actions: the uniform
 baseline and replay run through it with a fixed way to pick each action.
@@ -41,6 +43,7 @@ from .model import (
     AppModel,
     EnvSession,
     GuiAction,
+    GuiState,
     action_labeling,
     state_labeling,
 )
@@ -226,6 +229,42 @@ class Prediction:
 # the projection table.
 _RESIDUES: dict[tuple[Formula, frozenset[AtomicProposition]], Formula] = {}
 
+# (action, action alphabet) -> the action's labeling.  A pure function of
+# values, so it is shared by every run and never evicted, like _RESIDUES.
+_ACTION_LABELS: dict[tuple[GuiAction, frozenset[AtomicProposition]], Labeling] = {}
+
+
+def _action_labels(action: GuiAction, action_alphabet: frozenset) -> Labeling:
+    key = (action, action_alphabet)
+    labels = _ACTION_LABELS.get(key)
+    if labels is None:
+        labels = _ACTION_LABELS.setdefault(key, action_labeling(action, action_alphabet))
+    return labels
+
+
+class RunLabels:
+    """The labelings of one run over one model and one formula.
+
+    Holds the formula's alphabet split into action and state predicates, and
+    each step's (action labels, full labels) by (action, resulting state id).
+    State ids are unique only within one model, so a table serves one run.
+    """
+
+    def __init__(self, phi0: Formula) -> None:
+        alphabet = atom_set(phi0)
+        self.action_alphabet = frozenset(a for a in alphabet if a.is_action)
+        self.state_alphabet = alphabet - self.action_alphabet
+        self._steps: dict[tuple[GuiAction, str], tuple[Labeling, Labeling]] = {}
+
+    def step(self, action: GuiAction, state: GuiState) -> tuple[Labeling, Labeling]:
+        key = (action, state.id)
+        labels = self._steps.get(key)
+        if labels is None:
+            action_labels = _action_labels(action, self.action_alphabet)
+            labels = (action_labels, action_labels | state_labeling(state, self.state_alphabet))
+            self._steps[key] = labels
+        return labels
+
 
 def prune_and_predict(
     phi: Formula,
@@ -243,7 +282,7 @@ def prune_and_predict(
     """
     survivors: list[tuple[Decision, GuiAction]] = []
     for action in enabled:
-        labels = action_labeling(action, action_alphabet)
+        labels = _action_labels(action, action_alphabet)
         key = (phi, labels.atoms)
         residue = _RESIDUES.get(key)
         if residue is None:
@@ -331,13 +370,16 @@ def run_episode(
     policy_rng: random.Random | None = None,
     swap_rng: random.Random | None = None,
     pick: Pick | None = None,
+    run_labels: RunLabels | None = None,
 ) -> EpisodeLog:
     """Drive one episode from the don't-care state until the verdict resolves
     or the step budget runs out.  Clears the eligibility trace first.
 
     Without ``pick`` the learner screens, chooses and learns.  With it, step
     ``k`` executes ``pick(k, enabled)`` and nothing is screened or learned;
-    the uniform baseline and replay are such picks.
+    the uniform baseline and replay are such picks.  ``run_labels`` carries
+    the step labelings from episode to episode of one run over ``phi0``; an
+    episode without it starts a table of its own.
     """
     if temperature is None:
         temperature = config.t0
@@ -351,9 +393,9 @@ def run_episode(
         swap_rng = swap_rng or random.Random(master.getrandbits(64))
     session.reset()
     store.elig.clear()
-    alphabet = atom_set(phi0)
-    action_alphabet = frozenset(a for a in alphabet if a.is_action)
-    state_alphabet = alphabet - action_alphabet
+    if run_labels is None:
+        run_labels = RunLabels(phi0)
+    action_alphabet = run_labels.action_alphabet
     phi = phi0
     tail: Tail = ()
     steps: list[StepRecord] = []
@@ -392,8 +434,7 @@ def run_episode(
             )
             action = by_decision[decision]
         state = session.execute(action)
-        action_labels = action_labeling(action, action_alphabet)
-        labels = action_labels | state_labeling(state, state_alphabet)
+        action_labels, labels = run_labels.step(action, state)
         verdict = projection(phi, labels)
         reward = shaped_reward(phi, verdict, config.shaping)
         if pick is None:
@@ -430,6 +471,7 @@ def _drive(
     swap_rng = random.Random(master.getrandbits(64))
     session = EnvSession(model, seed=master.getrandbits(64))
     store = QStore()
+    run_labels = RunLabels(phi)
     pick = None if policy is None else policy(policy_rng)
     temperature, epsilon, eta = config.t0, config.eps0, config.eta0
     start = time.monotonic()
@@ -449,6 +491,7 @@ def _drive(
             policy_rng=policy_rng,
             swap_rng=swap_rng,
             pick=pick,
+            run_labels=run_labels,
         )
         logs.append(log)
         total_steps += len(log.steps)

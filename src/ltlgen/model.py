@@ -8,7 +8,8 @@ for states and actions.
 
 The pre-launch don't-care state is implicit: it is never listed in a file,
 and the only actions enabled there are the reinitialize actions derived from
-the file's ``initial`` map.
+the file's ``initial`` map.  Loading stores them, and their transitions,
+under the don't-care state's id like those of any other state.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -62,10 +63,21 @@ class GuiAction:
     params: tuple[str, ...] = ()
     target: str = ""
     detail: str = ""
+    # Built once: a step reads it several times.  Left out of equality, hash,
+    # repr and the pickled state.
+    signature: ActionSig = field(init=False, compare=False, repr=False)
 
-    @property
-    def signature(self) -> ActionSig:
-        return (self.action_type, self.params, self.target)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signature", (self.action_type, self.params, self.target))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["signature"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def describe(self) -> str:
         return " ".join((self.action_type,) + self.params)
@@ -77,10 +89,6 @@ class GuiState:
     attributes: dict[str, str]
     widgets: tuple[Widget, ...]
 
-    @property
-    def is_dont_care(self) -> bool:
-        return self.id == DONT_CARE_ID
-
 
 DONT_CARE = GuiState(DONT_CARE_ID, {}, ())
 
@@ -89,7 +97,10 @@ Distribution = tuple[tuple[str, float], ...]
 
 @dataclass(frozen=True)
 class AppModel:
-    """Validated, immutable model; sessions over it may run in parallel."""
+    """Validated, immutable model; sessions over it may run in parallel.
+
+    ``enabled`` and ``transitions`` also hold the don't-care state, keyed by
+    ``DONT_CARE_ID``, though ``states`` does not."""
 
     screen: tuple[int, int]
     initial: dict[str, str]
@@ -98,21 +109,13 @@ class AppModel:
     transitions: dict[tuple[str, ActionSig], Distribution]
 
     def enabled_in(self, state: GuiState) -> tuple[GuiAction, ...]:
-        if state.is_dont_care:
-            return tuple(
-                GuiAction("reinitialize", (activity,)) for activity in sorted(self.initial)
-            )
         return self.enabled[state.id]
 
     def transition(self, state: GuiState, action: GuiAction) -> Distribution:
-        if state.is_dont_care:
-            if action.action_type == "reinitialize" and action.params and action.params[0] in self.initial:
-                return ((self.initial[action.params[0]], 1.0),)
-            raise MissingTransition(f"no reinitialize target for {action.describe()!r}")
-        key = (state.id, action.signature)
-        if key not in self.transitions:
+        distribution = self.transitions.get((state.id, action.signature))
+        if distribution is None:
             raise MissingTransition(f"state {state.id!r} has no transition for {action.describe()!r}")
-        return self.transitions[key]
+        return distribution
 
 
 def _fail(source: str, message: str) -> ModelError:
@@ -278,6 +281,10 @@ def model_from_dict(data: object, source: str = "<model>") -> AppModel:
     for activity, target in initial_raw.items():
         if target not in states:
             raise _fail(source, f"initial activity {activity!r} targets unknown state {target!r}")
+    launches = tuple(GuiAction("reinitialize", (activity,)) for activity in sorted(initial_raw))
+    for launch in launches:
+        transitions[(DONT_CARE_ID, launch.signature)] = ((initial_raw[launch.params[0]], 1.0),)
+    enabled[DONT_CARE_ID] = launches
 
     return AppModel(screen, dict(initial_raw), states, enabled, transitions)
 
@@ -315,15 +322,16 @@ class EnvSession:
     def reset(self) -> None:
         self.current = DONT_CARE
 
-    def enabled_actions(self) -> list[GuiAction]:
-        return list(self.model.enabled_in(self.current))
+    def enabled_actions(self) -> tuple[GuiAction, ...]:
+        return self.model.enabled[self.current.id]
 
     def execute(self, action: GuiAction) -> GuiState:
-        if action.signature not in {a.signature for a in self.model.enabled_in(self.current)}:
+        # Every enabled action has a transition, so a miss is a disabled action.
+        distribution = self.model.transitions.get((self.current.id, action.signature))
+        if distribution is None:
             raise ActionNotEnabled(
                 f"{action.describe()!r} is not enabled in state {self.current.id!r}"
             )
-        distribution = self.model.transition(self.current, action)
         if len(distribution) == 1:
             target = distribution[0][0]
         else:

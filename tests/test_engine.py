@@ -285,6 +285,31 @@ def test_dead_end_charges_the_previous_decision():
     assert store.q1[reinit_decision] < 0 or store.q2[reinit_decision] < 0
 
 
+def test_step_labels_tell_apart_actions_with_one_signature():
+    # Both states show widget 0:0 in one place, so clicking it has the same
+    # signature and the same successor in both; only the widget text, and so
+    # the action's detail label, differs.
+    def state(state_id, activity, text):
+        return {
+            "id": state_id,
+            "attributes": {"activity": activity, "package": "demo"},
+            "widgets": [{"objectID": "0:0", "text": text, "bounds": [0, 0, 20, 20]}],
+            "actions": [{"type": "click", "on": "0:0", "transitions": [{"to": "b"}]}],
+        }
+
+    model = model_from_dict({
+        "screen": [100, 100],
+        "initial": {"MainActivity": "a"},
+        "states": [state("a", "MainActivity", "Go"), state("b", "OtherActivity", "Stop")],
+    })
+    go = AtomicProposition("actionDetail", "~", "Go")
+    stop = AtomicProposition("actionDetail", "~", "Stop")
+    phi = parse("X X X ([actionDetail~Go] | [actionDetail~Stop])")
+    clicks = [("reinitialize", ("MainActivity",)), ("click", ("10", "10")), ("click", ("10", "10"))]
+    log = replay(model, clicks, phi)
+    assert [record.labels.atoms & {go, stop} for record in log.steps] == [set(), {go}, {stop}]
+
+
 def test_tails_respect_the_length_bound(needle):
     from conftest import NEEDLE_B
 

@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -17,6 +19,7 @@ from ltlgen import (
     save_test,
     state_labeling,
 )
+from ltlgen.model import MissingTransition
 from conftest import MODELS
 from helpers import lab
 
@@ -226,6 +229,64 @@ def test_execute_rejects_disabled_action(chesswalk):
     session = EnvSession(chesswalk)
     with pytest.raises(ActionNotEnabled):
         session.execute(GuiAction("back"))
+
+
+def test_dont_care_actions_are_one_stored_tuple(chesswalk):
+    session = EnvSession(chesswalk)
+    first = session.enabled_actions()
+    assert isinstance(first, tuple)
+    assert session.enabled_actions() is first
+    session.execute(first[0])
+    session.reset()
+    assert session.enabled_actions() is first
+    assert chesswalk.enabled_in(DONT_CARE) is first
+
+
+@pytest.mark.parametrize("case", ["reinitialize after launch", "unknown activity", "other state"])
+def test_execute_rejects_disabled_action_by_name(chesswalk, case):
+    session = EnvSession(chesswalk)
+    if case == "unknown activity":
+        action, where = GuiAction("reinitialize", ("NoSuchActivity",)), "∅"
+    else:
+        session.execute(GuiAction("reinitialize", ("MainActivity",)))
+        if case == "reinitialize after launch":
+            action, where = GuiAction("reinitialize", ("MainActivity",)), "main"
+        else:
+            here = {a.signature for a in session.enabled_actions()}
+            action = next(a for a in chesswalk.enabled["about"] if a.signature not in here)
+            where = "main"
+    message = f"{action.describe()!r} is not enabled in state {where!r}"
+    with pytest.raises(ActionNotEnabled) as caught:
+        session.execute(action)
+    assert str(caught.value) == message
+    assert session.current.id == ("∅" if case == "unknown activity" else "main")
+
+
+def test_transition_rejects_undeclared_action(chesswalk):
+    main = chesswalk.states["main"]
+    with pytest.raises(MissingTransition, match="state 'main' has no transition for 'swipe up'"):
+        chesswalk.transition(main, GuiAction("swipe", ("up",)))
+    with pytest.raises(MissingTransition):
+        chesswalk.transition(DONT_CARE, GuiAction("back"))
+    assert chesswalk.transition(DONT_CARE, GuiAction("reinitialize", ("MainActivity",))) == (
+        ("main", 1.0),
+    )
+
+
+def test_action_signature_is_stored_but_not_a_field_value():
+    action = GuiAction("click", ("5", "5"), "0:0", "Go")
+    assert action.signature == ("click", ("5", "5"), "0:0")
+    assert action.signature is action.signature
+    assert action == GuiAction("click", ("5", "5"), "0:0", "Go")
+    assert hash(action) == hash(("click", ("5", "5"), "0:0", "Go"))
+    assert repr(action) == "GuiAction(action_type='click', params=('5', '5'), target='0:0', detail='Go')"
+    assert action.__reduce_ex__(2)[2] == {
+        "action_type": "click", "params": ("5", "5"), "target": "0:0", "detail": "Go",
+    }
+    for clone in (pickle.loads(pickle.dumps(action)), copy.copy(action), copy.deepcopy(action)):
+        assert clone == action and clone.signature == action.signature
+    moved = dataclasses.replace(action, target="0:1")
+    assert moved.signature == ("click", ("5", "5"), "0:1")
 
 
 def test_execute_counts_steps_and_reset(chesswalk):

@@ -1,0 +1,142 @@
+"""Properties over small random models and random formulas over their predicates."""
+
+from hypothesis import given, settings, strategies as st
+
+from ltlgen import (
+    And,
+    Atom,
+    AtomicProposition,
+    EnvSession,
+    LearnerConfig,
+    Next,
+    Not,
+    QStore,
+    TRUE,
+    Until,
+    action_labeling,
+    atom_set,
+    model_from_dict,
+    replay,
+    run_episode,
+    simplify,
+    state_labeling,
+)
+from ltlgen.engine import ENGINES, RunLabels
+from ltlgen.progression import evaluate
+
+ACTIVITIES = ("MainActivity", "AboutActivity", "SettingsActivity")
+TEXTS = ("Go", "About", "Off")
+PREDICATES = [
+    AtomicProposition("activity", "~", "Main"),
+    AtomicProposition("activity", "~", "About"),
+    AtomicProposition("activity", "=", "SettingsActivity"),
+    AtomicProposition("text", "~", "About"),
+    AtomicProposition("objectID", "=", "0:1"),
+    AtomicProposition("checked", "=", "true"),
+    AtomicProposition("actionType", "=", "click"),
+    AtomicProposition("actionType", "=", "back"),
+    AtomicProposition("actionDetail", "~", "Go"),
+    AtomicProposition("actionObjectID", "=", "0:0"),
+]
+LEAVES = [TRUE] + [Atom(ap) for ap in PREDICATES]
+
+formulas = st.recursive(
+    st.sampled_from(LEAVES),
+    lambda children: st.one_of(
+        children.map(Not),
+        children.map(Next),
+        st.tuples(children, children).map(lambda pair: And(*pair)),
+        st.tuples(children, children).map(lambda pair: Until(*pair)),
+    ),
+    max_leaves=6,
+).map(simplify)
+
+
+@st.composite
+def models(draw, stochastic: bool = False):
+    """A valid model of 1-4 states; with ``stochastic`` some actions fork."""
+    ids = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+    targets = st.sampled_from(ids)
+
+    def arrows():
+        if stochastic and draw(st.booleans()):
+            return [{"to": draw(targets), "weight": 0.5}, {"to": draw(targets), "weight": 0.5}]
+        return [{"to": draw(targets)}]
+
+    states = []
+    for state_id in ids:
+        widgets = [
+            {
+                "objectID": f"0:{w}",
+                "text": draw(st.sampled_from(TEXTS)),
+                "bounds": [0, 10 * w, 10, 10 * w + 10],
+                "checked": draw(st.sampled_from((None, True, False))),
+            }
+            for w in range(draw(st.integers(0, 2)))
+        ]
+        actions = [
+            {"type": "click", "on": widget["objectID"], "transitions": arrows()}
+            for widget in widgets
+            if draw(st.booleans())
+        ]
+        for kind in ("back", "swipe"):
+            if not actions or draw(st.booleans()):
+                actions.append({"type": kind, "transitions": arrows()})
+        states.append({
+            "id": state_id,
+            "attributes": {"activity": draw(st.sampled_from(ACTIVITIES)), "package": "demo"},
+            "widgets": widgets,
+            "actions": actions,
+        })
+    launchable = draw(st.lists(st.sampled_from(ACTIVITIES), min_size=1, max_size=2, unique=True))
+    initial = {activity: draw(targets) for activity in launchable}
+    return model_from_dict({"screen": [100, 100], "initial": initial, "states": states})
+
+
+class RecordingSession(EnvSession):
+    """Keeps every state an executed action led to."""
+
+    def __init__(self, model, seed: int = 0):
+        super().__init__(model, seed)
+        self.reached = []
+
+    def execute(self, action):
+        state = super().execute(action)
+        self.reached.append(state)
+        return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(stochastic=True), formulas, st.integers(0, 2**32 - 1))
+def test_memoized_step_labels_equal_direct_labeling(model, phi, seed):
+    alphabet = atom_set(phi)
+    action_alphabet = frozenset(ap for ap in alphabet if ap.is_action)
+    state_alphabet = alphabet - action_alphabet
+    session = RecordingSession(model, seed=seed)
+    config = LearnerConfig(steps=5, seed=seed)
+    run_labels = RunLabels(phi)
+    store = QStore()
+    logs = []
+    for index in range(6):
+        # Alternate the learner with the first enabled action, sharing one table.
+        pick = None if index % 2 else (lambda k, enabled: enabled[0])
+        logs.append(run_episode(session, phi, store, config, pick=pick, run_labels=run_labels))
+    steps = [record for log in logs for record in log.steps]
+    assert len(steps) == len(session.reached)
+    for record, state in zip(steps, session.reached):
+        expected = action_labeling(record.action, action_alphabet) | state_labeling(
+            state, state_alphabet
+        )
+        assert record.labels == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), formulas, st.integers(0, 2**32 - 1), st.sampled_from(sorted(ENGINES)))
+def test_generated_tests_replay_and_satisfy_the_formula(model, phi, seed, engine):
+    result = ENGINES[engine](model, phi, LearnerConfig(episodes=30, steps=5, seed=seed))
+    if result.test is None:
+        return
+    log = replay(model, result.test, phi, seed=seed)
+    assert log.satisfied
+    assert [record.action for record in log.steps] == result.test
+    assert evaluate([record.labels for record in log.steps], 0, phi)
