@@ -10,10 +10,12 @@ Before choosing an action the engine screens the enabled set using action
 labels alone: actions whose labels already falsify the formula are dropped
 before execution, an action whose labels alone satisfy it is taken
 immediately, and if nothing survives the previous decision is charged with
-the dead end.  Like projection, the screening residue of an obligation
-under an action labeling is computed once per process and then looked up,
-and so is the labeling of an action under an alphabet.  The full labeling
-of a step is looked up per run, by the action and the resulting state.
+the dead end.
+
+Every table a step reads is a cached pure function of its arguments, kept
+for the life of the process: projection, the screening residue of an
+obligation under an action labeling, the labeling of an action, and the
+labeling of a step by its action and resulting state object.
 
 ``run_episode`` is the only loop that executes actions: the uniform
 baseline and replay run through it with a fixed way to pick each action.
@@ -21,6 +23,7 @@ baseline and replay run through it with a fixed way to pick each action.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .formula import (
-    AtomicProposition,
     FALSE,
     Formula,
     Labeling,
@@ -225,52 +227,37 @@ class Prediction:
     survivors: tuple[tuple[Decision, GuiAction], ...] = ()
 
 
-# (obligation, action predicates) -> screening residue; never evicted, like
-# the projection table.
-_RESIDUES: dict[tuple[Formula, frozenset[AtomicProposition]], Formula] = {}
-
-# (action, action alphabet) -> the action's labeling.  A pure function of
-# values, so it is shared by every run and never evicted, like _RESIDUES.
-_ACTION_LABELS: dict[tuple[GuiAction, frozenset[AtomicProposition]], Labeling] = {}
+# The caches below, like projection's, are never evicted.  The labeling
+# functions skip predicates of the other kind, so every caller passes the
+# formula's whole alphabet.
 
 
-def _action_labels(action: GuiAction, action_alphabet: frozenset) -> Labeling:
-    key = (action, action_alphabet)
-    labels = _ACTION_LABELS.get(key)
-    if labels is None:
-        labels = _ACTION_LABELS.setdefault(key, action_labeling(action, action_alphabet))
-    return labels
+@functools.cache
+def _residue(phi: Formula, labels: Labeling) -> Formula:
+    """The obligation left after an action's labels alone, before execution."""
+    return simplify(advance(restrict(expand(phi), labels, action_only=True)))
 
 
-class RunLabels:
-    """The labelings of one run over one model and one formula.
+@functools.cache
+def _action_labels(action: GuiAction, alphabet: frozenset) -> Labeling:
+    return action_labeling(action, alphabet)
 
-    Holds the formula's alphabet split into action and state predicates, and
-    each step's (action labels, full labels) by (action, resulting state id).
-    State ids are unique only within one model, so a table serves one run.
-    """
 
-    def __init__(self, phi0: Formula) -> None:
-        alphabet = atom_set(phi0)
-        self.action_alphabet = frozenset(a for a in alphabet if a.is_action)
-        self.state_alphabet = alphabet - self.action_alphabet
-        self._steps: dict[tuple[GuiAction, str], tuple[Labeling, Labeling]] = {}
-
-    def step(self, action: GuiAction, state: GuiState) -> tuple[Labeling, Labeling]:
-        key = (action, state.id)
-        labels = self._steps.get(key)
-        if labels is None:
-            action_labels = _action_labels(action, self.action_alphabet)
-            labels = (action_labels, action_labels | state_labeling(state, self.state_alphabet))
-            self._steps[key] = labels
-        return labels
+@functools.cache
+def _step_labels(
+    action: GuiAction, state: GuiState, alphabet: frozenset
+) -> tuple[Labeling, Labeling]:
+    """(action labels, full labels) of a step.  Keyed by the state object,
+    not its id: ids repeat across models."""
+    action_labels = _action_labels(action, alphabet)
+    return action_labels, action_labels | state_labeling(state, alphabet)
 
 
 def prune_and_predict(
     phi: Formula,
     tail: Tail,
     enabled: Sequence[GuiAction],
-    action_alphabet: frozenset,
+    alphabet: frozenset,
 ) -> Prediction:
     """Screen enabled actions by what their labels alone do to the formula.
 
@@ -282,12 +269,7 @@ def prune_and_predict(
     """
     survivors: list[tuple[Decision, GuiAction]] = []
     for action in enabled:
-        labels = _action_labels(action, action_alphabet)
-        key = (phi, labels.atoms)
-        residue = _RESIDUES.get(key)
-        if residue is None:
-            residue = simplify(advance(restrict(expand(phi), labels, action_only=True)))
-            residue = _RESIDUES.setdefault(key, residue)
+        residue = _residue(phi, _action_labels(action, alphabet))
         if residue is TRUE:
             return Prediction(SATISFIED, action=action)
         if residue is FALSE:
@@ -370,16 +352,13 @@ def run_episode(
     policy_rng: random.Random | None = None,
     swap_rng: random.Random | None = None,
     pick: Pick | None = None,
-    run_labels: RunLabels | None = None,
 ) -> EpisodeLog:
     """Drive one episode from the don't-care state until the verdict resolves
     or the step budget runs out.  Clears the eligibility trace first.
 
     Without ``pick`` the learner screens, chooses and learns.  With it, step
     ``k`` executes ``pick(k, enabled)`` and nothing is screened or learned;
-    the uniform baseline and replay are such picks.  ``run_labels`` carries
-    the step labelings from episode to episode of one run over ``phi0``; an
-    episode without it starts a table of its own.
+    the uniform baseline and replay are such picks.
     """
     if temperature is None:
         temperature = config.t0
@@ -393,9 +372,7 @@ def run_episode(
         swap_rng = swap_rng or random.Random(master.getrandbits(64))
     session.reset()
     store.elig.clear()
-    if run_labels is None:
-        run_labels = RunLabels(phi0)
-    action_alphabet = run_labels.action_alphabet
+    alphabet = atom_set(phi0)
     phi = phi0
     tail: Tail = ()
     steps: list[StepRecord] = []
@@ -406,7 +383,7 @@ def run_episode(
         if pick is not None:
             action = pick(k, enabled)
         elif config.predict:
-            prediction = prune_and_predict(phi, tail, enabled, action_alphabet)
+            prediction = prune_and_predict(phi, tail, enabled, alphabet)
             if prediction.kind == DEAD_END:
                 if previous is not None:
                     prev_decision, prev_labels = previous
@@ -434,7 +411,7 @@ def run_episode(
             )
             action = by_decision[decision]
         state = session.execute(action)
-        action_labels, labels = run_labels.step(action, state)
+        action_labels, labels = _step_labels(action, state, alphabet)
         verdict = projection(phi, labels)
         reward = shaped_reward(phi, verdict, config.shaping)
         if pick is None:
@@ -471,7 +448,6 @@ def _drive(
     swap_rng = random.Random(master.getrandbits(64))
     session = EnvSession(model, seed=master.getrandbits(64))
     store = QStore()
-    run_labels = RunLabels(phi)
     pick = None if policy is None else policy(policy_rng)
     temperature, epsilon, eta = config.t0, config.eps0, config.eta0
     start = time.monotonic()
@@ -491,14 +467,14 @@ def _drive(
             policy_rng=policy_rng,
             swap_rng=swap_rng,
             pick=pick,
-            run_labels=run_labels,
         )
         logs.append(log)
         total_steps += len(log.steps)
         if log.satisfied:
             test = [record.action for record in log.steps]
             break
-        temperature, epsilon, eta = anneal(temperature, epsilon, eta, config)
+        if pick is None:
+            temperature, epsilon, eta = anneal(temperature, epsilon, eta, config)
     wall_ms = (time.monotonic() - start) * 1000.0
     outcome = "satisfied" if test is not None else "exhausted"
     stats = RunStats(outcome, len(logs), total_steps, wall_ms, config.seed)

@@ -173,7 +173,11 @@ def atom_set(phi: Formula) -> frozenset[AtomicProposition]:
 
 def simplify(phi: Formula) -> Formula:
     """Bottom-up normal form: no double negation, no true/false conjunct,
-    no duplicated conjunct anywhere in the tree.  Idempotent."""
+    and no conjunction of two equal operands.  Idempotent.
+
+    Only a conjunction's own two operands are compared, so a repeated
+    conjunct deeper in a chain survives: ``([p=1] & [q=1]) & [p=1]`` stays
+    as it is (ROADMAP item 4)."""
     if isinstance(phi, Not):
         operand = simplify(phi.operand)
         if isinstance(operand, Not):
@@ -198,20 +202,19 @@ def simplify(phi: Formula) -> Formula:
     return phi
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """The set of predicates observed true at one trace position."""
+class Labeling(frozenset):
+    """The set of predicates observed true at one trace position.
 
-    atoms: frozenset[AtomicProposition] = frozenset()
+    A frozenset, so it hashes, compares and serves as a memo key like the
+    set of its predicates."""
 
-    def __contains__(self, ap: object) -> bool:
-        return ap in self.atoms
+    __slots__ = ()
 
-    def __or__(self, other: Labeling) -> Labeling:
-        return Labeling(self.atoms | other.atoms)
+    def __or__(self, other: frozenset) -> Labeling:
+        return Labeling(frozenset.__or__(self, other))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(a) for a in sorted(self.atoms)) + "}"
+        return "{" + ", ".join(str(a) for a in sorted(self)) + "}"
 
 
 @dataclass(frozen=True)

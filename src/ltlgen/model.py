@@ -83,8 +83,11 @@ class GuiAction:
         return " ".join((self.action_type,) + self.params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GuiState:
+    """One screen of a model.  Compared and hashed by identity: ids repeat
+    across models, state objects do not."""
+
     id: str
     attributes: dict[str, str]
     widgets: tuple[Widget, ...]

@@ -7,18 +7,19 @@ exposed predicates are replaced by their observed truth (``restrict``), and
 one level of next is stripped (``advance``).  Predicates guarded by a next
 operator are left symbolic for the following step.
 
-Projection is a pure function of (obligation, observed predicates), and a
-run meets only a handful of either, so its results are kept in a
-process-wide table: the obligation-to-obligation edges of an automaton
-built on the fly, the reward machine of the formula.
+Projection is a pure function of (obligation, labeling), and a run meets
+only a handful of either, so it is a cached function of the two: its cache
+holds the obligation-to-obligation edges of an automaton built on the fly,
+the reward machine of the formula.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .formula import (
     And,
     Atom,
-    AtomicProposition,
     FALSE,
     Formula,
     Labeling,
@@ -105,23 +106,16 @@ def advance(phi: Formula) -> Formula:
     return phi
 
 
-# (obligation, observed predicates) -> verdict.  Never evicted: it grows with
-# the distinct obligations episodes reach, which the step budget bounds.
-_PROJECTIONS: dict[tuple[Formula, frozenset[AtomicProposition]], Verdict] = {}
-
-
+@functools.cache
 def projection(phi: Formula, labels: Labeling) -> Verdict:
     """Consume one position's labeling and return the verdict on the rest.
 
     Equal to ``Verdict(simplify(advance(restrict(expand(phi), labels))))``,
-    computed once per distinct key and then looked up.
+    computed once per distinct (obligation, labeling) and then looked up.
+    The cache is never evicted: it grows with the distinct obligations
+    episodes reach, which the step budget bounds.
     """
-    key = (phi, labels.atoms)
-    verdict = _PROJECTIONS.get(key)
-    if verdict is None:
-        verdict = Verdict(simplify(advance(restrict(expand(phi), labels))))
-        verdict = _PROJECTIONS.setdefault(key, verdict)
-    return verdict
+    return Verdict(simplify(advance(restrict(expand(phi), labels))))
 
 
 def shaped_reward(phi: Formula, verdict: Verdict, shaping: bool = True) -> float:

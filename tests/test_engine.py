@@ -307,7 +307,7 @@ def test_step_labels_tell_apart_actions_with_one_signature():
     phi = parse("X X X ([actionDetail~Go] | [actionDetail~Stop])")
     clicks = [("reinitialize", ("MainActivity",)), ("click", ("10", "10")), ("click", ("10", "10"))]
     log = replay(model, clicks, phi)
-    assert [record.labels.atoms & {go, stop} for record in log.steps] == [set(), {go}, {stop}]
+    assert [record.labels & {go, stop} for record in log.steps] == [set(), {go}, {stop}]
 
 
 def test_tails_respect_the_length_bound(needle):

@@ -12,6 +12,7 @@ from ltlgen import (
     Atom,
     AtomicProposition,
     FALSE,
+    Labeling,
     Next,
     Not,
     TRUE,
@@ -105,8 +106,12 @@ def test_labeling_split_and_union():
     state = AtomicProposition("activity", "~", "Main")
     action = AtomicProposition("actionType", "=", "back")
     combined = lab(state) | lab(action)
-    assert combined.atoms == frozenset((state, action))
+    assert isinstance(combined, Labeling)
+    assert combined == frozenset((state, action))
+    assert hash(combined) == hash(frozenset((state, action)))
     assert state in combined and action in combined
+    assert str(combined) == str(lab(action) | lab(state)) == "{[actionType=back], [activity~Main]}"
+    assert str(Labeling()) == "{}"
 
 
 def test_verdict_normalization():

@@ -356,8 +356,8 @@ def test_state_labeling_is_monotone_in_alphabet(chesswalk):
     small = {ACTIVITY_MAIN}
     big = {ACTIVITY_MAIN, ACTIVITY_ABOUT, AtomicProposition("text", "~", "About")}
     for state in chesswalk.states.values():
-        inner = state_labeling(state, small).atoms
-        outer = state_labeling(state, big).atoms
+        inner = state_labeling(state, small)
+        outer = state_labeling(state, big)
         assert inner <= outer
 
 

@@ -1,5 +1,4 @@
 import random
-from unittest import mock
 
 from hypothesis import given, strategies as st
 
@@ -25,7 +24,7 @@ from ltlgen import (
     shaped_reward,
     simplify,
 )
-from ltlgen import engine, progression
+from ltlgen import engine
 from helpers import P, Q, enumerate_formulas, lab, random_formula
 
 # The worked example's objective: first reach a Q-position via P-positions,
@@ -250,11 +249,13 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def test_memoized_projection_matches_direct_pipeline(seed):
     phi = random_formula(random.Random(seed), 8, MEMO_LEAVES)
     expected = [simplify(advance(restrict(expand(phi), labels))) for labels in MEMO_LABELINGS]
-    with mock.patch.object(progression, "_PROJECTIONS", {}):
-        first = [projection(phi, labels) for labels in MEMO_LABELINGS]
-        repeat = [projection(phi, labels) for labels in MEMO_LABELINGS]
+    projection.cache_clear()
+    first = [projection(phi, labels) for labels in MEMO_LABELINGS]
+    repeat = [projection(phi, labels) for labels in MEMO_LABELINGS]
     assert [verdict.formula for verdict in first] == expected
     assert all(again is verdict for again, verdict in zip(repeat, first))
+    info = projection.cache_info()
+    assert (info.misses, info.hits) == (len(MEMO_LABELINGS), len(MEMO_LABELINGS))
 
 
 @given(seeds)
@@ -271,10 +272,13 @@ def test_memoized_screening_matches_direct_pipeline(seed):
             else engine.DEAD_END if residue is FALSE
             else engine.CONTINUE
         )
-        residues[(phi, labels.atoms)] = residue
-    table: dict = {}
-    with mock.patch.object(engine, "_RESIDUES", table):
-        for _ in range(2):
-            for action in ACTIONS:
-                assert prune_and_predict(phi, (), [action], alphabet).kind == kinds[action]
-    assert table == residues
+        residues[labels] = residue
+    engine._residue.cache_clear()
+    for _ in range(2):
+        for action in ACTIONS:
+            assert prune_and_predict(phi, (), [action], alphabet).kind == kinds[action]
+    # One residue per distinct action labeling, each equal to the direct one.
+    assert engine._residue.cache_info().currsize == len(residues)
+    for labels, residue in residues.items():
+        assert engine._residue(phi, labels) is residue
+    assert engine._residue.cache_info().misses == len(residues)

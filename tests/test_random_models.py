@@ -1,5 +1,7 @@
 """Properties over small random models and random formulas over their predicates."""
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from ltlgen import (
@@ -21,7 +23,7 @@ from ltlgen import (
     simplify,
     state_labeling,
 )
-from ltlgen.engine import ENGINES, RunLabels
+from ltlgen.engine import ENGINES
 from ltlgen.progression import evaluate
 
 ACTIVITIES = ("MainActivity", "AboutActivity", "SettingsActivity")
@@ -107,27 +109,50 @@ class RecordingSession(EnvSession):
 
 
 @settings(max_examples=60, deadline=None)
-@given(models(stochastic=True), formulas, st.integers(0, 2**32 - 1))
-def test_memoized_step_labels_equal_direct_labeling(model, phi, seed):
+@given(models(stochastic=True), models(stochastic=True), formulas, st.integers(0, 2**32 - 1))
+def test_memoized_step_labels_equal_direct_labeling(model_a, model_b, phi, seed):
+    # Both models name their states s0, s1, ...: a memo keyed by state id
+    # would hand one model's labels to the other's states.
     alphabet = atom_set(phi)
     action_alphabet = frozenset(ap for ap in alphabet if ap.is_action)
     state_alphabet = alphabet - action_alphabet
-    session = RecordingSession(model, seed=seed)
+    sessions = [RecordingSession(model_a, seed=seed), RecordingSession(model_b, seed=seed)]
     config = LearnerConfig(steps=5, seed=seed)
-    run_labels = RunLabels(phi)
-    store = QStore()
-    logs = []
-    for index in range(6):
-        # Alternate the learner with the first enabled action, sharing one table.
-        pick = None if index % 2 else (lambda k, enabled: enabled[0])
-        logs.append(run_episode(session, phi, store, config, pick=pick, run_labels=run_labels))
-    steps = [record for log in logs for record in log.steps]
-    assert len(steps) == len(session.reached)
-    for record, state in zip(steps, session.reached):
-        expected = action_labeling(record.action, action_alphabet) | state_labeling(
-            state, state_alphabet
-        )
-        assert record.labels == expected
+    stores = [QStore(), QStore()]
+    logs = ([], [])
+    for index in range(8):
+        # Alternate the two models, and on each the learner with the first
+        # enabled action; every episode reads the same process-wide memo.
+        which = index % 2
+        pick = None if index // 2 % 2 else (lambda k, enabled: enabled[0])
+        logs[which].append(run_episode(sessions[which], phi, stores[which], config, pick=pick))
+    for session, model_logs in zip(sessions, logs):
+        steps = [record for log in model_logs for record in log.steps]
+        assert len(steps) == len(session.reached)
+        for record, state in zip(steps, session.reached):
+            expected = action_labeling(record.action, action_alphabet) | state_labeling(
+                state, state_alphabet
+            )
+            assert record.labels == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(stochastic=True), formulas, st.integers(0, 2**32 - 1))
+def test_episode_verdicts_agree_with_evaluate(model, phi, seed):
+    rng = random.Random(seed)
+    session = EnvSession(model, seed=seed)
+    config = LearnerConfig(steps=6, seed=seed)
+
+    def uniform(k, enabled):
+        return enabled[rng.randrange(len(enabled))]
+
+    for _ in range(4):
+        log = run_episode(session, phi, QStore(), config, pick=uniform)
+        trace = [record.labels for record in log.steps]
+        if log.outcome == "satisfied":
+            assert evaluate(trace, 0, phi)
+        elif log.outcome == "falsified":
+            assert not evaluate(trace, 0, phi)
 
 
 @settings(max_examples=60, deadline=None)
