@@ -3,7 +3,8 @@
 The learner's state space is the set of tails: bounded recent
 (action, state) history, so the same GUI state reached along different
 paths can earn different values.  A decision is a tail plus an action
-signature.  Stateless side tables keyed by action labelings seed values for
+signature; decisions are hash-consed, so the learner's tables hash and
+compare them by identity and never walk a tail.  Stateless side tables keyed by action labelings seed values for
 decisions made from tails never seen before.
 
 Before choosing an action the engine screens the enabled set using action
@@ -29,7 +30,6 @@ import random
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple
 
 from .formula import (
     FALSE,
@@ -58,11 +58,46 @@ Tail = tuple[tuple[ActionSig, str], ...]
 Pick = Callable[[int, Sequence[GuiAction]], GuiAction]
 
 
-class Decision(NamedTuple):
-    """A choice point: the recent history it was made from plus the action."""
+class Decision:
+    """A choice point: the recent history it was made from plus the action.
 
+    Hash-consed like formula nodes: building a decision equal to an existing
+    one returns that object, so ``==`` and ``hash`` are the identity
+    defaults and a learner table lookup does not walk the tail.  Decisions
+    are never evicted: the table grows with the number of distinct
+    (tail, action) pairs a process builds.
+    """
+
+    __slots__ = ("tail", "action")
     tail: Tail
     action: ActionSig
+
+    def __new__(cls, tail: Tail, action: ActionSig) -> Decision:
+        key = (tail, action)
+        decision = _DECISIONS.get(key)
+        if decision is not None:
+            return decision
+        decision = object.__new__(cls)
+        object.__setattr__(decision, "tail", tail)
+        object.__setattr__(decision, "action", action)
+        return _DECISIONS.setdefault(key, decision)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Decision objects are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Decision objects are immutable")
+
+    def __reduce__(self):
+        # Copies and unpickled decisions come back as the canonical object.
+        return Decision, (self.tail, self.action)
+
+    def __repr__(self) -> str:
+        return f"Decision(tail={self.tail!r}, action={self.action!r})"
+
+
+# Every decision ever built, keyed by its tail and action.
+_DECISIONS: dict[tuple[Tail, ActionSig], Decision] = {}
 
 
 @dataclass
@@ -280,10 +315,6 @@ def prune_and_predict(
     return Prediction(CONTINUE, survivors=tuple(survivors))
 
 
-def _clamp(value: float, bound: float) -> float:
-    return min(max(value, -bound), bound)
-
-
 def learn(
     store: QStore,
     decision: Decision,
@@ -300,31 +331,39 @@ def learn(
     step with the per-decision tables and share the vigilance clamp, and the
     table pairs swap together half of the time.
     """
+    labels_of = store.action_labels
     if action_labels is None:
-        action_labels = store.action_labels.get(decision.action, Labeling())
-    store.action_labels.setdefault(decision.action, action_labels)
+        action_labels = labels_of.get(decision.action, Labeling())
+    labels_of.setdefault(decision.action, action_labels)
+    q1, q2, qa1, qa2, elig = store.q1, store.q2, store.qa1, store.qa2, store.elig
     if decision.tail not in store.seen_tails:
         store.seen_tails.add(decision.tail)
-        store.q1[decision] = store.qa1.get(action_labels, 0.0)
-    delta = reward - store.q1.get(decision, 0.0)
-    store.elig[decision] = store.elig.get(decision, 0.0) + 1.0
+        q1[decision] = qa1.get(action_labels, 0.0)
+    delta = reward - q1.get(decision, 0.0)
+    elig[decision] = elig.get(decision, 0.0) + 1.0
     bound = config.vigilance
+    low = -bound
     mix = config.doubleness
-    for eligible, trace_value in list(store.elig.items()):
-        labels = store.action_labels[eligible.action]
+    keep = 1.0 - mix
+    decay = config.elig_decay
+    elig_min = config.elig_min
+    for eligible, trace_value in list(elig.items()):
+        labels = labels_of[eligible.action]
         step = eta * delta * trace_value
-        store.qa1[labels] = _clamp(store.qa1.get(labels, 0.0) + step, bound)
-        store.q1[eligible] = _clamp(store.q1.get(eligible, 0.0) + step, bound)
-        store.qa2[labels] = (1.0 - mix) * store.qa1[labels] + mix * store.qa2.get(labels, 0.0)
-        store.q2[eligible] = (1.0 - mix) * store.q1[eligible] + mix * store.q2.get(eligible, 0.0)
-        decayed = config.elig_decay * trace_value
-        if decayed >= config.elig_min:
-            store.elig[eligible] = decayed
+        value_a1 = min(max(qa1.get(labels, 0.0) + step, low), bound)
+        qa1[labels] = value_a1
+        value_1 = min(max(q1.get(eligible, 0.0) + step, low), bound)
+        q1[eligible] = value_1
+        qa2[labels] = keep * value_a1 + mix * qa2.get(labels, 0.0)
+        q2[eligible] = keep * value_1 + mix * q2.get(eligible, 0.0)
+        decayed = decay * trace_value
+        if decayed >= elig_min:
+            elig[eligible] = decayed
         else:
-            del store.elig[eligible]
+            del elig[eligible]
     if rng.random() < 0.5:
-        store.q1, store.q2 = store.q2, store.q1
-        store.qa1, store.qa2 = store.qa2, store.qa1
+        store.q1, store.q2 = q2, q1
+        store.qa1, store.qa2 = qa2, qa1
     return delta
 
 

@@ -177,7 +177,7 @@ def simplify(phi: Formula) -> Formula:
 
     Only a conjunction's own two operands are compared, so a repeated
     conjunct deeper in a chain survives: ``([p=1] & [q=1]) & [p=1]`` stays
-    as it is (ROADMAP item 4)."""
+    as it is (ROADMAP item 1)."""
     if isinstance(phi, Not):
         operand = simplify(phi.operand)
         if isinstance(operand, Not):

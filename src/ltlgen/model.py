@@ -63,16 +63,24 @@ class GuiAction:
     params: tuple[str, ...] = ()
     target: str = ""
     detail: str = ""
-    # Built once: a step reads it several times.  Left out of equality, hash,
-    # repr and the pickled state.
+    # Built once: a step reads them several times.  Left out of equality,
+    # hash, repr and the pickled state; the stored hash is the value the
+    # generated __hash__ would give.
     signature: ActionSig = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signature", (self.action_type, self.params, self.target))
+        object.__setattr__(
+            self, "_hash", hash((self.action_type, self.params, self.target, self.detail))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        del state["signature"]
+        del state["signature"], state["_hash"]
         return state
 
     def __setstate__(self, state: dict) -> None:

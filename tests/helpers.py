@@ -1,4 +1,5 @@
-"""Shared builders for the test suite: predicates, labelings, formula generators."""
+"""Shared builders for the test suite: predicates, labelings, formula
+generators, and the reference learner update."""
 
 from __future__ import annotations
 
@@ -85,3 +86,42 @@ class FixedRoll:
 
     def randrange(self, n: int) -> int:
         return int(self.value * n)
+
+
+def _clamp(value: float, bound: float) -> float:
+    return min(max(value, -bound), bound)
+
+
+def reference_learn(store, decision, reward, config, eta, rng, action_labels=None) -> float:
+    """``engine.learn`` as written before decisions were hash-consed, kept as
+    the reference its float results and table key orders must equal.
+
+    ``decision`` is a plain ``(tail, action)`` tuple, so every table access
+    hashes the whole tail."""
+    tail, action = decision
+    if action_labels is None:
+        action_labels = store.action_labels.get(action, Labeling())
+    store.action_labels.setdefault(action, action_labels)
+    if tail not in store.seen_tails:
+        store.seen_tails.add(tail)
+        store.q1[decision] = store.qa1.get(action_labels, 0.0)
+    delta = reward - store.q1.get(decision, 0.0)
+    store.elig[decision] = store.elig.get(decision, 0.0) + 1.0
+    bound = config.vigilance
+    mix = config.doubleness
+    for eligible, trace_value in list(store.elig.items()):
+        labels = store.action_labels[eligible[1]]
+        step = eta * delta * trace_value
+        store.qa1[labels] = _clamp(store.qa1.get(labels, 0.0) + step, bound)
+        store.q1[eligible] = _clamp(store.q1.get(eligible, 0.0) + step, bound)
+        store.qa2[labels] = (1.0 - mix) * store.qa1[labels] + mix * store.qa2.get(labels, 0.0)
+        store.q2[eligible] = (1.0 - mix) * store.q1[eligible] + mix * store.q2.get(eligible, 0.0)
+        decayed = config.elig_decay * trace_value
+        if decayed >= config.elig_min:
+            store.elig[eligible] = decayed
+        else:
+            del store.elig[eligible]
+    if rng.random() < 0.5:
+        store.q1, store.q2 = store.q2, store.q1
+        store.qa1, store.qa2 = store.qa2, store.qa1
+    return delta

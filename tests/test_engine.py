@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -113,6 +115,41 @@ def test_decide_is_seed_deterministic():
     first = [decide_next_action(store, candidates, 1.0, 0.2, random.Random(42)) for _ in range(5)]
     second = [decide_next_action(store, candidates, 1.0, 0.2, random.Random(42)) for _ in range(5)]
     assert first == second
+
+
+# --- decisions ---
+
+def test_equal_decisions_are_one_object():
+    tail = ((BACK.signature, "main"),)
+    rebuilt = ((GuiAction("back").signature, "main"),)
+    assert rebuilt is not tail
+    assert Decision(tail, CLICK.signature) is Decision(rebuilt, ("click", ("10", "10"), "0:0"))
+    assert Decision((), BACK.signature) is not Decision((), PAUSE.signature)
+    assert Decision((), BACK.signature) != Decision(tail, BACK.signature)
+
+
+def test_decision_copies_and_pickles_are_canonical():
+    decision = Decision(((BACK.signature, "main"),), CLICK.signature)
+    assert copy.copy(decision) is decision
+    assert copy.deepcopy(decision) is decision
+    assert pickle.loads(pickle.dumps(decision)) is decision
+
+
+def test_decision_is_immutable():
+    decision = Decision((), BACK.signature)
+    with pytest.raises(AttributeError):
+        decision.tail = ((BACK.signature, "main"),)
+    with pytest.raises(AttributeError):
+        decision.extra = 1
+    with pytest.raises(AttributeError):
+        del decision.action
+    assert decision.tail == () and decision.action == BACK.signature
+
+
+def test_decision_repr_names_the_fields():
+    assert repr(Decision(((BACK.signature, "main"),), PAUSE.signature)) == (
+        "Decision(tail=((('back', (), ''), 'main'),), action=('pauseresume', (), ''))"
+    )
 
 
 # --- learning ---

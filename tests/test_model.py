@@ -285,8 +285,13 @@ def test_action_signature_is_stored_but_not_a_field_value():
     }
     for clone in (pickle.loads(pickle.dumps(action)), copy.copy(action), copy.deepcopy(action)):
         assert clone == action and clone.signature == action.signature
+        assert hash(clone) == hash(("click", ("5", "5"), "0:0", "Go"))
     moved = dataclasses.replace(action, target="0:1")
     assert moved.signature == ("click", ("5", "5"), "0:1")
+    assert hash(moved) == hash(("click", ("5", "5"), "0:1", "Go"))
+    assert moved.__reduce_ex__(2)[2] == {
+        "action_type": "click", "params": ("5", "5"), "target": "0:1", "detail": "Go",
+    }
 
 
 def test_execute_counts_steps_and_reset(chesswalk):

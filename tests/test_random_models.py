@@ -8,7 +8,9 @@ from ltlgen import (
     And,
     Atom,
     AtomicProposition,
+    Decision,
     EnvSession,
+    Labeling,
     LearnerConfig,
     Next,
     Not,
@@ -17,6 +19,7 @@ from ltlgen import (
     Until,
     action_labeling,
     atom_set,
+    learn,
     model_from_dict,
     replay,
     run_episode,
@@ -25,6 +28,7 @@ from ltlgen import (
 )
 from ltlgen.engine import ENGINES
 from ltlgen.progression import evaluate
+from helpers import reference_learn
 
 ACTIVITIES = ("MainActivity", "AboutActivity", "SettingsActivity")
 TEXTS = ("Go", "About", "Off")
@@ -165,3 +169,45 @@ def test_generated_tests_replay_and_satisfy_the_formula(model, phi, seed, engine
     assert log.satisfied
     assert [record.action for record in log.steps] == result.test
     assert evaluate([record.labels for record in log.steps], 0, phi)
+
+
+SIGNATURES = [("back", (), ""), ("swipe", (), ""), ("click", ("5", "5"), "0:0")]
+tails = st.lists(
+    st.tuples(st.sampled_from(SIGNATURES), st.sampled_from(("s0", "s1"))), max_size=2
+).map(tuple)
+learn_steps = st.tuples(
+    st.tuples(tails, st.sampled_from(SIGNATURES)),
+    st.floats(-2.0, 2.0),
+    st.floats(0.01, 1.0),
+    st.integers(0, 2**32 - 1),
+    st.none() | st.frozensets(st.sampled_from(PREDICATES[6:]), max_size=2).map(Labeling),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(0.05, 5.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.001, 1.0),
+    st.lists(learn_steps, min_size=1, max_size=40),
+)
+def test_learn_equals_the_reference_update(vigilance, doubleness, elig_decay, elig_min, steps):
+    config = LearnerConfig(
+        vigilance=vigilance, doubleness=doubleness, elig_decay=elig_decay, elig_min=elig_min
+    )
+    store, reference = QStore(), QStore()
+    for (tail, action), reward, eta, seed, action_labels in steps:
+        delta = learn(
+            store, Decision(tail, action), reward, config, eta, random.Random(seed), action_labels
+        )
+        expected = reference_learn(
+            reference, (tail, action), reward, config, eta, random.Random(seed), action_labels
+        )
+        assert delta == expected
+    for name in ("q1", "q2", "elig"):
+        table = [((d.tail, d.action), value) for d, value in getattr(store, name).items()]
+        assert table == list(getattr(reference, name).items())
+    for name in ("qa1", "qa2", "action_labels"):
+        assert list(getattr(store, name).items()) == list(getattr(reference, name).items())
+    assert store.seen_tails == reference.seen_tails
