@@ -34,9 +34,11 @@ from dataclasses import dataclass, field, fields, replace
 from .formula import (
     FALSE,
     Formula,
+    Interned,
     Labeling,
     TRUE,
     atom_set,
+    intern,
     simplify,
 )
 from .model import (
@@ -58,42 +60,18 @@ Tail = tuple[tuple[ActionSig, str], ...]
 Pick = Callable[[int, Sequence[GuiAction]], GuiAction]
 
 
-class Decision:
+class Decision(Interned):
     """A choice point: the recent history it was made from plus the action.
 
-    Hash-consed like formula nodes: building a decision equal to an existing
-    one returns that object, so ``==`` and ``hash`` are the identity
-    defaults and a learner table lookup does not walk the tail.  Decisions
-    are never evicted: the table grows with the number of distinct
-    (tail, action) pairs a process builds.
+    Interned like formula nodes, so a learner table lookup does not walk the
+    tail.
     """
 
     __slots__ = ("tail", "action")
-    tail: Tail
-    action: ActionSig
 
     def __new__(cls, tail: Tail, action: ActionSig) -> Decision:
         key = (tail, action)
-        decision = _DECISIONS.get(key)
-        if decision is not None:
-            return decision
-        decision = object.__new__(cls)
-        object.__setattr__(decision, "tail", tail)
-        object.__setattr__(decision, "action", action)
-        return _DECISIONS.setdefault(key, decision)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Decision objects are immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Decision objects are immutable")
-
-    def __reduce__(self):
-        # Copies and unpickled decisions come back as the canonical object.
-        return Decision, (self.tail, self.action)
-
-    def __repr__(self) -> str:
-        return f"Decision(tail={self.tail!r}, action={self.action!r})"
+        return intern(_DECISIONS, key, cls, key)
 
 
 # Every decision ever built, keyed by its tail and action.

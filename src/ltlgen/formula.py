@@ -45,30 +45,28 @@ class AtomicProposition:
         return f"[{self.key}{self.op}{self.value}]"
 
 
-class Formula:
-    """Base class for formula nodes: immutable and hash-consed.
+class Interned:
+    """Base class for hash-consed values: immutable, one object per value.
 
-    Building a node equal to an existing one returns that node, so two
-    trees are structurally equal exactly when they are the same object, and
-    ``==`` and ``hash`` are the identity defaults.  Identity hashes differ
-    between processes; nothing iterates a collection keyed by nodes in an
-    order that reaches output.  Each node computes its predicate count
-    (``atom_count``) and distinct predicates (``alphabet``) once, when it is
-    first built.  Nodes are never evicted: the table grows with the number
-    of distinct subformulas a process builds.
+    A constructor returns the stored object equal to what it would build
+    (see ``intern``), so ``==`` and ``hash`` are the identity defaults and a
+    lookup never walks the value.  Identity hashes differ between processes;
+    nothing iterates a collection keyed by interned objects in an order that
+    reaches output.  Interned objects are never evicted: each table grows
+    with the number of distinct values a process builds.
     """
 
-    __slots__ = ("atom_count", "alphabet")
+    __slots__ = ()
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
 
     def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
 
     def __reduce__(self):
-        # Copies and unpickled nodes are rebuilt through the constructor, so
-        # they come back as the canonical node.
+        # Copies and unpickled objects are rebuilt through the constructor,
+        # so they come back as the canonical object.
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
@@ -76,23 +74,34 @@ class Formula:
         return f"{type(self).__name__}({fields})"
 
 
+def intern(table: dict, key: tuple, cls: type, values: tuple):
+    """The object stored under ``key``, built on first use: ``values`` fill
+    the slots of ``cls`` and then those of its bases, in that order."""
+    obj = table.get(key)
+    if obj is not None:
+        return obj
+    obj = object.__new__(cls)
+    names = (name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ()))
+    for name, value in zip(names, values):
+        object.__setattr__(obj, name, value)
+    # setdefault keeps one object when two threads build the same value.
+    return table.setdefault(key, obj)
+
+
+class Formula(Interned):
+    """Base class for formula nodes.
+
+    Two trees are structurally equal exactly when they are the same node.
+    Each node computes its predicate count (``atom_count``) and distinct
+    predicates (``alphabet``) once, when it is first built.
+    """
+
+    __slots__ = ("atom_count", "alphabet")
+
+
 # Every node ever built, keyed by its class and its fields.  Children are
 # canonical nodes, so keys hash and compare by identity.
 _NODES: dict[tuple, Formula] = {}
-
-
-def _intern(key: tuple, fields: tuple, atom_count: int, alphabet: frozenset) -> Formula:
-    node = _NODES.get(key)
-    if node is not None:
-        return node
-    cls = key[0]
-    node = object.__new__(cls)
-    for name, value in zip(cls.__slots__, fields):
-        object.__setattr__(node, name, value)
-    object.__setattr__(node, "atom_count", atom_count)
-    object.__setattr__(node, "alphabet", alphabet)
-    # setdefault keeps one node when two threads build the same tree.
-    return _NODES.setdefault(key, node)
 
 
 def _union(left: frozenset, right: frozenset) -> frozenset:
@@ -109,52 +118,46 @@ class Truth(Formula):
     __slots__ = ()
 
     def __new__(cls) -> Truth:
-        return _intern((cls,), (), 0, frozenset())
+        return intern(_NODES, (cls,), cls, (0, frozenset()))
 
 
 class Atom(Formula):
     __slots__ = ("ap",)
 
     def __new__(cls, ap: AtomicProposition) -> Atom:
-        return _intern((cls, ap.key, ap.op, ap.value), (ap,), 1, frozenset((ap,)))
+        return intern(_NODES, (cls, ap.key, ap.op, ap.value), cls, (ap, 1, frozenset((ap,))))
 
 
 class Not(Formula):
     __slots__ = ("operand",)
 
     def __new__(cls, operand: Formula) -> Not:
-        return _intern((cls, operand), (operand,), operand.atom_count, operand.alphabet)
+        return intern(_NODES, (cls, operand), cls, (operand, operand.atom_count, operand.alphabet))
 
 
 class And(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula) -> And:
-        return _intern(
-            (cls, left, right),
-            (left, right),
-            left.atom_count + right.atom_count,
-            _union(left.alphabet, right.alphabet),
-        )
+        count = left.atom_count + right.atom_count
+        alphabet = _union(left.alphabet, right.alphabet)
+        return intern(_NODES, (cls, left, right), cls, (left, right, count, alphabet))
 
 
 class Next(Formula):
     __slots__ = ("operand",)
 
     def __new__(cls, operand: Formula) -> Next:
-        return _intern((cls, operand), (operand,), operand.atom_count, operand.alphabet)
+        return intern(_NODES, (cls, operand), cls, (operand, operand.atom_count, operand.alphabet))
 
 
 class Until(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula) -> Until:
-        return _intern(
-            (cls, left, right),
-            (left, right),
-            left.atom_count + right.atom_count,
-            _union(left.alphabet, right.alphabet),
-        )
+        count = left.atom_count + right.atom_count
+        alphabet = _union(left.alphabet, right.alphabet)
+        return intern(_NODES, (cls, left, right), cls, (left, right, count, alphabet))
 
 
 TRUE = Truth()
