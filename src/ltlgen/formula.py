@@ -174,13 +174,29 @@ def atom_set(phi: Formula) -> frozenset[AtomicProposition]:
     return phi.alphabet
 
 
+def _conjuncts(phi: Formula) -> list[Formula]:
+    """The operands of a tree of conjunctions, left to right."""
+    found: list[Formula] = []
+    pending = [phi]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, And):
+            pending += (node.right, node.left)
+        else:
+            found.append(node)
+    return found
+
+
 def simplify(phi: Formula) -> Formula:
     """Bottom-up normal form: no double negation, no true/false conjunct,
-    and no conjunction of two equal operands.  Idempotent.
+    and no conjunct repeated anywhere in a tree of conjunctions.  Idempotent.
 
-    Only a conjunction's own two operands are compared, so a repeated
-    conjunct deeper in a chain survives: ``([p=1] & [q=1]) & [p=1]`` stays
-    as it is (ROADMAP item 1)."""
+    Conjunctions are treated as sets, which keeps the obligations that
+    progression reaches from a formula finitely many (``G F p`` no longer
+    gains a conjunct per step).  A conjunction that repeats a conjunct is
+    rebuilt left-associated from its conjuncts in order of first
+    occurrence, never in order of identity or hash, which differ between
+    processes; one without a repeat keeps its shape."""
     if isinstance(phi, Not):
         operand = simplify(phi.operand)
         if isinstance(operand, Not):
@@ -197,7 +213,14 @@ def simplify(phi: Formula) -> Formula:
             return left
         if left == right:
             return left
-        return And(left, right)
+        conjuncts = _conjuncts(left) + _conjuncts(right)
+        distinct = list(dict.fromkeys(conjuncts))
+        if len(distinct) == len(conjuncts):
+            return And(left, right)
+        phi = distinct[0]
+        for conjunct in distinct[1:]:
+            phi = And(phi, conjunct)
+        return phi
     if isinstance(phi, Next):
         return Next(simplify(phi.operand))
     if isinstance(phi, Until):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -152,10 +153,8 @@ def _deep_json(path):
     return str(path)
 
 
-# Each input nests far beyond the interpreter's recursion limit.  The limit
-# is lowered while they run so that the obligation of G F, which grows by
-# one conjunct per step and costs more to rewrite at each, reaches it in a
-# few hundred steps rather than a thousand.
+# Each input nests far beyond the interpreter's recursion limit, which is
+# lowered while they run to keep them quick.
 DEEP_INPUTS = {
     "model-json": (
         lambda tmp: ("generate", "--model", _deep_json(tmp / "m.json"), "--formula", "true"),
@@ -173,11 +172,6 @@ DEEP_INPUTS = {
     "conjuncts": (
         lambda tmp: ("generate", "--model", CHESSWALK,
                      "--formula", " & ".join(f"[activity~A{i}]" for i in range(2000))),
-        EXIT_FORMULA_ERROR, "formula error: the formula or its obligation nests too deeply",
-    ),
-    "growing-obligation": (
-        lambda tmp: ("generate", "--model", CHESSWALK, "--formula", "G F [activity~About]",
-                     "--steps", "3000"),
         EXIT_FORMULA_ERROR, "formula error: the formula or its obligation nests too deeply",
     ),
 }
@@ -199,6 +193,29 @@ def test_deep_nesting_exits_with_one_line(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
+
+
+def test_liveness_obligation_stays_bounded_over_a_long_episode(tmp_path, capsys):
+    # G F p re-arms F p at every step.  Were conjunctions not sets, the
+    # obligation would gain a conjunct per step and nest past this limit.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    start = time.monotonic()
+    try:
+        code = run(
+            "generate", "--model", CHESSWALK, "--formula", "G F [activity~About]",
+            "--episodes", "1", "--steps", "3000", "-o", str(tmp_path / "out.json"),
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    elapsed = time.monotonic() - start
+    assert code == EXIT_EXHAUSTED
+    captured = capsys.readouterr()
+    assert captured.out.startswith("outcome=exhausted episodes=1 steps=3000 ")
+    assert captured.err == ""
+    assert not (tmp_path / "out.json").exists()
+    assert elapsed < 10.0
+
 
 def test_usage_error_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as info:
