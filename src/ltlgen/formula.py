@@ -187,16 +187,49 @@ def _conjuncts(phi: Formula) -> list[Formula]:
     return found
 
 
-def simplify(phi: Formula) -> Formula:
-    """Bottom-up normal form: no double negation, no true/false conjunct,
-    and no conjunct repeated anywhere in a tree of conjunctions.  Idempotent.
+def _given(phi: Formula, holds: set, fails: set) -> Formula:
+    """``phi`` with the subformulas in ``holds`` replaced by truth and those
+    in ``fails`` by falsity, looking through negations and conjunctions."""
+    if phi in holds:
+        return TRUE
+    if phi in fails:
+        return FALSE
+    if isinstance(phi, Not):
+        return Not(_given(phi.operand, holds, fails))
+    if isinstance(phi, And):
+        return And(_given(phi.left, holds, fails), _given(phi.right, holds, fails))
+    return phi
 
-    Conjunctions are treated as sets, which keeps the obligations that
-    progression reaches from a formula finitely many (``G F p`` no longer
-    gains a conjunct per step).  A conjunction that repeats a conjunct is
-    rebuilt left-associated from its conjuncts in order of first
-    occurrence, never in order of identity or hash, which differ between
-    processes; one without a repeat keeps its shape."""
+
+def _in_context(conjuncts: list[Formula]) -> list[Formula]:
+    """Each of the distinct ``conjuncts`` with every other one assumed true."""
+    holds = set(conjuncts)
+    fails = {c.operand for c in conjuncts if isinstance(c, Not)}
+    result = []
+    for conjunct in conjuncts:
+        negated = conjunct.operand if isinstance(conjunct, Not) else None
+        holds.discard(conjunct)
+        fails.discard(negated)
+        result.append(_given(conjunct, holds, fails))
+        holds.add(conjunct)
+        if negated is not None:
+            fails.add(negated)
+    return result
+
+
+def simplify(phi: Formula) -> Formula:
+    """Bottom-up normal form: no double negation and no true/false conjunct.
+    Conjunctions are sets, and each conjunct holds inside the others: no
+    conjunct repeats, and none reappears, plain or negated, inside another
+    through negations and conjunctions.  Idempotent.
+
+    This keeps the obligations that progression reaches from a formula
+    finitely many: ``G F p`` no longer gains a conjunct per step, nor
+    ``(F p) U (F q)`` a nested disjunction (``q | (p & (q | (p & U)))``
+    reduces to ``q | (p & U)``).  A conjunction that changes is rebuilt
+    left-associated from its conjuncts in order of first occurrence, never
+    in order of identity or hash, which differ between processes; one that
+    does not keeps its shape."""
     if isinstance(phi, Not):
         operand = simplify(phi.operand)
         if isinstance(operand, Not):
@@ -214,13 +247,13 @@ def simplify(phi: Formula) -> Formula:
         if left == right:
             return left
         conjuncts = _conjuncts(left) + _conjuncts(right)
-        distinct = list(dict.fromkeys(conjuncts))
-        if len(distinct) == len(conjuncts):
+        reduced = _in_context(list(dict.fromkeys(conjuncts)))
+        if reduced == conjuncts:
             return And(left, right)
-        phi = distinct[0]
-        for conjunct in distinct[1:]:
+        phi = reduced[0]
+        for conjunct in reduced[1:]:
             phi = And(phi, conjunct)
-        return phi
+        return simplify(phi)
     if isinstance(phi, Next):
         return Next(simplify(phi.operand))
     if isinstance(phi, Until):

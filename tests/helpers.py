@@ -57,6 +57,24 @@ def random_formula(rng: random.Random, max_ops: int, leaves: list[Formula]) -> F
     return And(left, right) if pick == 2 else Until(left, right)
 
 
+def conjuncts(phi: Formula) -> list[Formula]:
+    if isinstance(phi, And):
+        return conjuncts(phi.left) + conjuncts(phi.right)
+    return [phi]
+
+
+def occurs_in(target: Formula, phi: Formula) -> bool:
+    """True if ``target`` is ``phi`` or sits in it below negations and
+    conjunctions only."""
+    if phi == target:
+        return True
+    if isinstance(phi, Not):
+        return occurs_in(target, phi.operand)
+    if isinstance(phi, And):
+        return occurs_in(target, phi.left) or occurs_in(target, phi.right)
+    return False
+
+
 def has_redex(phi: Formula) -> bool:
     """True if any subterm matches a shape simplify is required to remove."""
     if isinstance(phi, Not):
@@ -66,8 +84,17 @@ def has_redex(phi: Formula) -> bool:
     if isinstance(phi, And):
         if TRUE in (phi.left, phi.right) or FALSE in (phi.left, phi.right):
             return True
-        if phi.left == phi.right:
+        parts = conjuncts(phi)
+        if len(set(parts)) < len(parts):
             return True
+        for part in parts:
+            for other in parts:
+                if other is part:
+                    continue
+                if occurs_in(other, part):
+                    return True
+                if isinstance(other, Not) and occurs_in(other.operand, part):
+                    return True
         return has_redex(phi.left) or has_redex(phi.right)
     if isinstance(phi, (Next, Until)):
         children = (phi.operand,) if isinstance(phi, Next) else (phi.left, phi.right)

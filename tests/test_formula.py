@@ -1,11 +1,12 @@
 import copy
+import itertools
 import pickle
 import random
 import sys
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ltlgen import (
     And,
@@ -25,6 +26,7 @@ from ltlgen import (
     render,
     simplify,
 )
+from ltlgen.progression import evaluate
 from helpers import P, Q, has_redex, lab, random_formula
 
 
@@ -36,6 +38,29 @@ def test_double_negation_false_conjunct_collapses_to_true():
 
 def test_duplicate_conjunct_is_dropped():
     assert simplify(And(Atom(P), Atom(P))) == Atom(P)
+
+
+def test_a_repeated_conjunct_is_dropped_anywhere_in_the_chain():
+    # Kept in order of first occurrence and rebuilt left-associated.
+    assert simplify(parse("([p=1] & [q=1]) & [p=1]")) == And(Atom(P), Atom(Q))
+    assert simplify(parse("([q=1] & [p=1]) & ([r=1] & [q=1])")) == parse("[q=1] & [p=1] & [r=1]")
+
+
+def test_a_conjunction_without_a_repeat_keeps_its_shape():
+    phi = parse("[p=1] & ([q=1] & [r=1])")
+    assert simplify(phi) == phi
+
+
+def test_a_conjunct_holds_inside_the_others():
+    # Absorption, both ways round.
+    assert simplify(parse("[p=1] & ([p=1] | [q=1])")) == Atom(P)
+    assert simplify(parse("[p=1] | ([p=1] & [q=1])")) == Atom(P)
+    assert simplify(parse("[p=1] & !([p=1] & [q=1])")) == parse("[p=1] & ![q=1]")
+    assert simplify(parse("[p=1] & ![p=1]")) == FALSE
+    # The shape (F p) U (F q) takes after two steps: the inner copy of the
+    # disjunction adds nothing.
+    nested = parse("[q=1] | ([p=1] & ([q=1] | ([p=1] & X [q=1])))")
+    assert simplify(nested) == simplify(parse("[q=1] | ([p=1] & X [q=1])"))
 
 
 def test_true_conjuncts_are_dropped_on_both_sides():
@@ -147,6 +172,27 @@ def test_simplify_idempotent_and_normal(phi):
     once = simplify(phi)
     assert simplify(once) == once
     assert not has_redex(once)
+
+
+LABELINGS = [Labeling(s) for s in ((), (P,), (Q,), (P, Q))]
+SHORT_TRACES = [list(t) for n in range(3) for t in itertools.product(LABELINGS, repeat=n)]
+
+
+# Dense in conjunctions whose conjuncts reappear inside one another.
+boolean_formulas = st.recursive(
+    st.sampled_from([Atom(P), Atom(Q), Next(Atom(P))]),
+    lambda children: st.one_of(st.builds(Not, children), st.builds(And, children, children)),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=500)
+@given(formulas | boolean_formulas)
+def test_simplify_keeps_the_meaning(phi):
+    once = simplify(phi)
+    for trace in SHORT_TRACES:
+        for position in range(len(trace) + 1):
+            assert evaluate(trace, position, once) == evaluate(trace, position, phi)
 
 
 # --- hash-consed nodes ---

@@ -46,16 +46,24 @@ PREDICATES = [
 ]
 LEAVES = [TRUE] + [Atom(ap) for ap in PREDICATES]
 
-formulas = st.recursive(
-    st.sampled_from(LEAVES),
-    lambda children: st.one_of(
-        children.map(Not),
-        children.map(Next),
-        st.tuples(children, children).map(lambda pair: And(*pair)),
-        st.tuples(children, children).map(lambda pair: Until(*pair)),
-    ),
-    max_leaves=6,
-).map(simplify)
+
+def formula_trees(*unary):
+    return st.recursive(
+        st.sampled_from(LEAVES),
+        lambda children: st.one_of(
+            *(children.map(op) for op in (Not, Next, *unary)),
+            st.tuples(children, children).map(lambda pair: And(*pair)),
+            st.tuples(children, children).map(lambda pair: Until(*pair)),
+        ),
+        max_leaves=6,
+    ).map(simplify)
+
+
+formulas = formula_trees()
+# With the parser's F and G sugar, liveness such as G F p comes up often.
+sugared_formulas = formula_trees(
+    lambda phi: Until(TRUE, phi), lambda phi: Not(Until(TRUE, Not(phi)))
+)
 
 
 @st.composite
@@ -157,6 +165,29 @@ def test_episode_verdicts_agree_with_evaluate(model, phi, seed):
             assert evaluate(trace, 0, phi)
         elif log.outcome == "falsified":
             assert not evaluate(trace, 0, phi)
+
+
+def subformulas(phi) -> set:
+    children = [getattr(phi, name) for name in ("operand", "left", "right") if hasattr(phi, name)]
+    return {phi}.union(*map(subformulas, children))
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(stochastic=True), sugared_formulas, st.integers(0, 2**32 - 1))
+def test_obligations_stay_bounded_over_long_episodes(model, phi, seed):
+    # Every obligation is a negation-and-conjunction combination of the
+    # formula's subformulas, kept in simplify's normal form.  The bound, the
+    # square of their number, is about twice the largest size seen in 10^5
+    # random runs.  Episodes get more steps than the bound, so an obligation
+    # that gains a predicate per step fails.
+    bound = len(subformulas(phi)) ** 2
+    rng = random.Random(seed)
+    config = LearnerConfig(steps=max(300, bound + 1), seed=seed)
+    log = run_episode(
+        EnvSession(model, seed=seed), phi, QStore(), config,
+        pick=lambda k, enabled: enabled[rng.randrange(len(enabled))],
+    )
+    assert max(record.formula.atom_count for record in log.steps) < bound
 
 
 @settings(max_examples=60, deadline=None)
