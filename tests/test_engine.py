@@ -3,6 +3,8 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -150,6 +152,36 @@ def test_decision_repr_names_the_fields():
     assert repr(Decision(((BACK.signature, "main"),), PAUSE.signature)) == (
         "Decision(tail=((('back', (), ''), 'main'),), action=('pauseresume', (), ''))"
     )
+
+
+def test_threads_building_the_same_decisions_share_them():
+    # Fresh state ids, so every decision below is built for the first time
+    # and the threads race to intern it.  Each thread builds its own tails.
+    signatures = [BACK.signature, CLICK.signature, PAUSE.signature]
+    results: list[list] = []
+    start = threading.Barrier(4, timeout=60)
+
+    def build() -> None:
+        start.wait()
+        results.append([
+            Decision(((signatures[i % 3], f"race{i}"),), signatures[i // 3 % 3])
+            for i in range(6000)
+        ])
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4
+    for decisions in results[1:]:
+        assert all(decision is first for decision, first in zip(decisions, results[0]))
 
 
 # --- learning ---
