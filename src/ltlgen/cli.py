@@ -19,7 +19,6 @@ from .formula import Formula, render
 from .model import (
     ActionNotEnabled,
     AppModel,
-    MissingTransition,
     ModelError,
     load_model,
     load_test,
@@ -124,15 +123,14 @@ def _config_from_args(args: argparse.Namespace) -> LearnerConfig:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    config = dataclasses.replace(
+    # Not validated here: every engine validates its config before a run.
+    return dataclasses.replace(
         LearnerConfig(),
         seed=args.seed,
         shaping=not args.no_reward_shaping,
         predict=not args.no_prediction,
         **overrides,
     )
-    config.validate()
-    return config
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[AppModel, Formula]:
@@ -249,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         # turn their own deep nesting into ModelError.
         print("formula error: the formula or its obligation nests too deeply", file=sys.stderr)
         return EXIT_FORMULA_ERROR
-    except (ModelError, ActionNotEnabled, MissingTransition) as exc:
+    except (ModelError, ActionNotEnabled) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL_ERROR
     except OSError as exc:
