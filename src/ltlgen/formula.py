@@ -203,8 +203,11 @@ def _given(phi: Formula, holds: set, fails: set) -> Formula:
 
 def _in_context(conjuncts: list[Formula]) -> list[Formula]:
     """Each of the distinct ``conjuncts`` with every other one assumed true."""
-    holds = set(conjuncts)
     fails = {c.operand for c in conjuncts if isinstance(c, Not)}
+    if not fails:
+        # Conjuncts are not conjunctions, so only a negation has others inside.
+        return conjuncts
+    holds = set(conjuncts)
     result = []
     for conjunct in conjuncts:
         negated = conjunct.operand if isinstance(conjunct, Not) else None
@@ -246,6 +249,8 @@ def simplify(phi: Formula) -> Formula:
             return left
         if left == right:
             return left
+        if not isinstance(left, (And, Not)) and not isinstance(right, (And, Not)):
+            return And(left, right)
         conjuncts = _conjuncts(left) + _conjuncts(right)
         reduced = _in_context(list(dict.fromkeys(conjuncts)))
         if reduced == conjuncts:
