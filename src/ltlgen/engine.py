@@ -3,8 +3,9 @@
 The learner's state space is the set of tails: bounded recent
 (action, state) history, so the same GUI state reached along different
 paths can earn different values.  A decision is a tail plus an action
-signature; decisions are hash-consed, so the learner's tables hash and
-compare them by identity and never walk a tail.  Stateless side tables keyed by action labelings seed values for
+signature; decisions are interned like formula nodes (``formula.Interned``),
+so the learner's tables hash and compare them by identity and never walk a
+tail.  Stateless side tables keyed by action labelings seed values for
 decisions made from tails never seen before.
 
 Before choosing an action the engine screens the enabled set using action

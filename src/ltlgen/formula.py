@@ -3,6 +3,12 @@
 The only primitive connectives are truth, predicates, negation, conjunction,
 next, and until.  Disjunction, implication, finally, globally, and the
 ``false`` literal are parser sugar and never appear in a tree.
+
+Nodes are hash-consed through ``Interned`` and ``intern``, which the
+learner's decisions share.  ``simplify`` gives the normal form every
+obligation is kept in; it treats conjunctions as sets, which keeps the
+obligation of a formula such as ``G F p`` from growing with the length of
+an episode.
 """
 
 from __future__ import annotations
@@ -226,13 +232,12 @@ def simplify(phi: Formula) -> Formula:
     conjunct repeats, and none reappears, plain or negated, inside another
     through negations and conjunctions.  Idempotent.
 
-    This keeps the obligations that progression reaches from a formula
-    finitely many: ``G F p`` no longer gains a conjunct per step, nor
-    ``(F p) U (F q)`` a nested disjunction (``q | (p & (q | (p & U)))``
-    reduces to ``q | (p & U)``).  A conjunction that changes is rebuilt
-    left-associated from its conjuncts in order of first occurrence, never
-    in order of identity or hash, which differ between processes; one that
-    does not keeps its shape."""
+    Without this, progression grows obligations with every step: ``G F p``
+    gains a conjunct, and ``(F p) U (F q)`` a nested disjunction
+    (``q | (p & (q | (p & U)))`` reduces to ``q | (p & U)``).  A
+    conjunction that changes is rebuilt left-associated from its conjuncts
+    in order of first occurrence, never in order of identity or hash, which
+    differ between processes; one that does not keeps its shape."""
     if isinstance(phi, Not):
         operand = simplify(phi.operand)
         if isinstance(operand, Not):
@@ -249,8 +254,6 @@ def simplify(phi: Formula) -> Formula:
             return left
         if left == right:
             return left
-        if not isinstance(left, (And, Not)) and not isinstance(right, (And, Not)):
-            return And(left, right)
         conjuncts = _conjuncts(left) + _conjuncts(right)
         reduced = _in_context(list(dict.fromkeys(conjuncts)))
         if reduced == conjuncts:
