@@ -17,7 +17,12 @@ the dead end.
 Every table a step reads is a cached pure function of its arguments, kept
 for the life of the process: projection, the screening residue of an
 obligation under an action labeling, the labeling of an action, and the
-labeling of a step by its action and resulting state object.
+labeling of a step by its action and resulting state object.  So is the
+normal form of each input formula, which every run of it starts from.
+
+A step builds only tuples: ``StepRecord`` and ``Prediction`` are named
+tuples, so a step record compares equal to the plain tuple of its values,
+and a verdict carries its resolved flags from when it was built.
 
 ``run_episode`` is the only loop that executes actions: the uniform
 baseline and replay run through it with a fixed way to pick each action.
@@ -30,7 +35,8 @@ import math
 import random
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .formula import (
     FALSE,
@@ -151,8 +157,7 @@ class QStore:
     action_labels: dict[ActionSig, Labeling] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One executed action: its labeling, the remaining obligation and its reward."""
 
     index: int
@@ -232,8 +237,7 @@ DEAD_END = "dead_end"
 CONTINUE = "continue"
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Outcome of pre-execution action screening."""
 
     kind: str
@@ -244,6 +248,13 @@ class Prediction:
 # The caches below, like projection's, are never evicted.  The labeling
 # functions skip predicates of the other kind, so every caller passes the
 # formula's whole alphabet.
+
+
+@functools.cache
+def _normal_form(phi0: Formula) -> Formula:
+    """An input formula in the normal form obligations are kept in; runs
+    of one input share it."""
+    return simplify(phi0)
 
 
 @functools.cache
@@ -409,7 +420,7 @@ def run_episode(
                         store, prev_decision, -1.0, config, eta, swap_rng,
                         action_labels=prev_labels,
                     )
-                    steps[-1] = replace(steps[-1], reward=-1.0)
+                    steps[-1] = steps[-1]._replace(reward=-1.0)
                 outcome = "dead_end"
                 break
             if prediction.kind == SATISFIED:
@@ -450,7 +461,7 @@ def run_episode(
 
 def _uniform(rng: random.Random) -> Pick:
     """The baseline's pick: one uniform draw from the enabled actions per step."""
-    return lambda k, enabled: enabled[rng.randrange(len(enabled))]
+    return lambda k, enabled: rng.choice(enabled)
 
 
 def _drive(
@@ -460,7 +471,7 @@ def _drive(
     policy: Callable[[random.Random], Pick] | None = None,
 ) -> GenerationResult:
     config.validate()
-    phi = simplify(phi0)
+    phi = _normal_form(phi0)
     master = random.Random(config.seed)
     policy_rng = random.Random(master.getrandbits(64))
     swap_rng = random.Random(master.getrandbits(64))
@@ -539,4 +550,4 @@ def replay(
         )
 
     config = LearnerConfig(steps=len(test))
-    return run_episode(session, simplify(phi0), QStore(), config, pick=pick)
+    return run_episode(session, _normal_form(phi0), QStore(), config, pick=pick)

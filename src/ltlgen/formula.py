@@ -13,7 +13,7 @@ an episode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True, order=True)
@@ -293,14 +293,21 @@ class Verdict:
     """
 
     formula: Formula
+    # Resolved once, when the verdict is built: a step reads them and calls
+    # nothing.  Left out of equality, hash, repr and the pickled state.
+    is_true: bool = field(init=False, compare=False, repr=False)
+    is_false: bool = field(init=False, compare=False, repr=False)
 
-    @property
-    def is_true(self) -> bool:
-        return self.formula == TRUE
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_true", self.formula is TRUE)
+        object.__setattr__(self, "is_false", self.formula is FALSE)
 
-    @property
-    def is_false(self) -> bool:
-        return self.formula == FALSE
+    def __getstate__(self) -> dict:
+        return {"formula": self.formula}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
 
 # Renderer precedence; higher binds tighter.  The parser accepts the same

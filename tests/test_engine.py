@@ -9,13 +9,16 @@ import threading
 import pytest
 
 from ltlgen import (
+    Atom,
     AtomicProposition,
     Decision,
     EnvSession,
     GuiAction,
     Labeling,
     LearnerConfig,
+    Next,
     QStore,
+    TRUE,
     anneal,
     decide_next_action,
     generate,
@@ -28,7 +31,7 @@ from ltlgen import (
     replay,
     run_episode,
 )
-from ltlgen.engine import CONTINUE, DEAD_END, SATISFIED
+from ltlgen.engine import CONTINUE, DEAD_END, SATISFIED, Prediction, StepRecord
 from conftest import GO_ABOUT_AND_BACK, NEEDLE_A, NEEDLE_B, NEEDLE_C
 from helpers import FixedRoll, lab
 
@@ -117,6 +120,48 @@ def test_decide_is_seed_deterministic():
     first = [decide_next_action(store, candidates, 1.0, 0.2, random.Random(42)) for _ in range(5)]
     second = [decide_next_action(store, candidates, 1.0, 0.2, random.Random(42)) for _ in range(5)]
     assert first == second
+
+
+# --- step records and screening results ---
+
+def test_record_types_keep_their_fields_and_defaults():
+    assert StepRecord._fields == ("index", "action", "labels", "formula", "reward")
+    assert StepRecord._field_defaults == {}
+    assert Prediction._fields == ("kind", "action", "survivors")
+    assert Prediction._field_defaults == {"action": None, "survivors": ()}
+    prediction = Prediction(DEAD_END)
+    assert (prediction.kind, prediction.action, prediction.survivors) == (DEAD_END, None, ())
+
+
+def test_record_types_are_immutable():
+    record = StepRecord(0, CLICK, lab(ACTIVITY_MAIN), TRUE, 1.0)
+    with pytest.raises(AttributeError):
+        record.reward = -1.0
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(AttributeError):
+        Prediction(SATISFIED, action=CLICK).survivors = ()
+    assert record.reward == 1.0
+
+
+def test_step_record_repr_is_unchanged():
+    record = StepRecord(0, CLICK, lab(ACTIVITY_MAIN), Next(Atom(ACTIVITY_MAIN)), 0.5)
+    # The text the frozen dataclass printed.
+    assert repr(record) == (
+        "StepRecord(index=0, action=GuiAction(action_type='click', params=('10', '10'), "
+        "target='0:0', detail='Go'), labels=Labeling({AtomicProposition(key='activity', "
+        "op='~', value='Main')}), formula=Next(operand=Atom(ap=AtomicProposition("
+        "key='activity', op='~', value='Main'))), reward=0.5)"
+    )
+
+
+def test_step_record_equals_the_tuple_of_its_values():
+    values = (2, BACK, lab(ACTIVITY_MAIN), TRUE, 0.25)
+    record = StepRecord(*values)
+    assert record == values and hash(record) == hash(values)
+    charged = record._replace(reward=-1.0)
+    assert charged == values[:4] + (-1.0,)
+    assert record.reward == 0.25
 
 
 # --- decisions ---

@@ -26,7 +26,7 @@ from ltlgen import (
     render,
     simplify,
 )
-from ltlgen.progression import evaluate
+from ltlgen.progression import evaluate, projection
 from helpers import P, Q, has_redex, lab, random_formula
 
 
@@ -144,6 +144,24 @@ def test_verdict_normalization():
     assert Verdict(FALSE).is_false
     undetermined = Verdict(Atom(P))
     assert not undetermined.is_true and not undetermined.is_false
+
+
+@pytest.mark.parametrize("phi", [TRUE, FALSE, Atom(P)], ids=["true", "false", "undetermined"])
+def test_verdict_stores_its_resolved_flags(phi):
+    verdict = Verdict(phi)
+    assert vars(verdict) == {"formula": phi, "is_true": phi is TRUE, "is_false": phi is FALSE}
+    assert b"is_true" not in pickle.dumps(verdict)
+    for other in (copy.copy(verdict), copy.deepcopy(verdict), pickle.loads(pickle.dumps(verdict))):
+        assert other == verdict and hash(other) == hash(verdict)
+        assert (other.is_true, other.is_false) == (phi is TRUE, phi is FALSE)
+
+
+def test_verdict_equality_and_repr_ignore_the_flags():
+    assert projection(Atom(P), lab(P)) == Verdict(TRUE)
+    assert projection(Atom(P), lab(Q)) == Verdict(FALSE)
+    assert projection(Next(Atom(P)), lab(Q)) == Verdict(Atom(P))
+    assert repr(Verdict(TRUE)) == "Verdict(formula=Truth())"
+    assert repr(Verdict(FALSE)) == "Verdict(formula=Not(operand=Truth()))"
 
 
 def test_render_canonical_forms():
