@@ -17,8 +17,9 @@ the dead end.
 Every table a step reads is a cached pure function of its arguments, kept
 for the life of the process: projection, the screening residue of an
 obligation under an action labeling, the labeling of an action, and the
-labeling of a step by its action and resulting state object.  So is the
-normal form of each input formula, which every run of it starts from.
+labeling of a step by its action and resulting state object.  The normal
+form of each input formula, which every run of it starts from, is cached
+the same way.
 
 A step builds only tuples: ``StepRecord`` and ``Prediction`` are named
 tuples, so a step record compares equal to the plain tuple of its values,
