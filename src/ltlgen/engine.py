@@ -15,11 +15,10 @@ immediately, and if nothing survives the previous decision is charged with
 the dead end.
 
 Every table a step reads is a cached pure function of its arguments, kept
-for the life of the process: projection, the screening residue of an
-obligation under an action labeling, the labeling of an action, and the
-labeling of a step by its action and resulting state object.  The normal
-form of each input formula, which every run of it starts from, is cached
-the same way.
+for the life of the process: projection, the screening of an obligation
+over a state's enabled actions, and the labeling of a step by its action
+and resulting state object.  The normal form of each input formula, which
+every run of it starts from, is cached the same way.
 
 A step builds only tuples: ``StepRecord`` and ``Prediction`` are named
 tuples, so a step record compares equal to the plain tuple of its values,
@@ -259,14 +258,21 @@ def _normal_form(phi0: Formula) -> Formula:
 
 
 @functools.cache
-def _residue(phi: Formula, labels: Labeling) -> Formula:
-    """The obligation left after an action's labels alone, before execution."""
-    return simplify(advance(restrict(expand(phi), labels, action_only=True)))
-
-
-@functools.cache
-def _action_labels(action: GuiAction, alphabet: frozenset) -> Labeling:
-    return action_labeling(action, alphabet)
+def _screen(
+    phi: Formula, enabled: tuple[GuiAction, ...], alphabet: frozenset
+) -> tuple[str, GuiAction | None, tuple[GuiAction, ...]]:
+    """Screening of an obligation over an enabled tuple, as (kind, the
+    action that satisfies it outright, the surviving actions)."""
+    expanded = expand(phi)
+    survivors = []
+    for action in enabled:
+        labels = action_labeling(action, alphabet)
+        residue = simplify(advance(restrict(expanded, labels, action_only=True)))
+        if residue is TRUE:
+            return SATISFIED, action, ()
+        if residue is not FALSE:
+            survivors.append(action)
+    return (CONTINUE if survivors else DEAD_END), None, tuple(survivors)
 
 
 @functools.cache
@@ -275,7 +281,7 @@ def _step_labels(
 ) -> tuple[Labeling, Labeling]:
     """(action labels, full labels) of a step.  Keyed by the state object,
     not its id: ids repeat across models."""
-    action_labels = _action_labels(action, alphabet)
+    action_labels = action_labeling(action, alphabet)
     return action_labels, action_labels | state_labeling(state, alphabet)
 
 
@@ -293,17 +299,8 @@ def prune_and_predict(
     resulting state.  State-scope predicates stay symbolic here, so
     surviving actions still face the full projection after execution.
     """
-    survivors: list[tuple[Decision, GuiAction]] = []
-    for action in enabled:
-        residue = _residue(phi, _action_labels(action, alphabet))
-        if residue is TRUE:
-            return Prediction(SATISFIED, action=action)
-        if residue is FALSE:
-            continue
-        survivors.append((Decision(tail, action.signature), action))
-    if not survivors:
-        return Prediction(DEAD_END)
-    return Prediction(CONTINUE, survivors=tuple(survivors))
+    kind, action, survivors = _screen(phi, tuple(enabled), alphabet)
+    return Prediction(kind, action, tuple([(Decision(tail, a.signature), a) for a in survivors]))
 
 
 def learn(
@@ -406,21 +403,23 @@ def run_episode(
     phi = phi0
     tail: Tail = ()
     steps: list[StepRecord] = []
-    previous: tuple[Decision, Labeling] | None = None
+    previous: Decision | None = None
     outcome = "exhausted"
     for k in range(config.steps):
         enabled = session.enabled_actions()
         if pick is not None:
             action = pick(k, enabled)
-        elif config.predict:
-            prediction = prune_and_predict(phi, tail, enabled, alphabet)
+        else:
+            if config.predict:
+                prediction = prune_and_predict(phi, tail, enabled, alphabet)
+            else:
+                prediction = Prediction(
+                    CONTINUE, survivors=tuple([(Decision(tail, a.signature), a) for a in enabled])
+                )
             if prediction.kind == DEAD_END:
+                # Its labels are already stored and its tail seen, so learn needs no labels.
                 if previous is not None:
-                    prev_decision, prev_labels = previous
-                    learn(
-                        store, prev_decision, -1.0, config, eta, swap_rng,
-                        action_labels=prev_labels,
-                    )
+                    learn(store, previous, -1.0, config, eta, swap_rng)
                     steps[-1] = steps[-1]._replace(reward=-1.0)
                 outcome = "dead_end"
                 break
@@ -434,19 +433,13 @@ def run_episode(
                     store, list(by_decision), temperature, epsilon, policy_rng
                 )
                 action = by_decision[decision]
-        else:
-            by_decision = {Decision(tail, a.signature): a for a in enabled}
-            decision = decide_next_action(
-                store, list(by_decision), temperature, epsilon, policy_rng
-            )
-            action = by_decision[decision]
         state = session.execute(action)
         action_labels, labels = _step_labels(action, state, alphabet)
         verdict = projection(phi, labels)
         reward = shaped_reward(phi, verdict, config.shaping)
         if pick is None:
             learn(store, decision, reward, config, eta, swap_rng, action_labels=action_labels)
-            previous = (decision, action_labels)
+            previous = decision
         steps.append(StepRecord(k, action, labels, verdict.formula, reward))
         if config.tail_length > 0:
             tail = (tail + ((action.signature, state.id),))[-config.tail_length:]

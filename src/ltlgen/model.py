@@ -29,11 +29,7 @@ class ModelError(Exception):
 
 
 class ActionNotEnabled(Exception):
-    """An action was executed in a state that does not enable it."""
-
-
-class MissingTransition(Exception):
-    """An enabled action has no declared successor distribution."""
+    """An action was executed in, or looked up for, a state that does not enable it."""
 
 
 DONT_CARE_ID = "∅"
@@ -125,7 +121,7 @@ class AppModel:
     def transition(self, state: GuiState, action: GuiAction) -> Distribution:
         distribution = self.transitions.get((state.id, action.signature))
         if distribution is None:
-            raise MissingTransition(f"state {state.id!r} has no transition for {action.describe()!r}")
+            raise ActionNotEnabled(f"state {state.id!r} has no transition for {action.describe()!r}")
         return distribution
 
 
@@ -173,6 +169,8 @@ def _check_action(
     target = ""
     detail = ""
     if "on" in raw:
+        if not isinstance(raw["on"], str):
+            raise _fail(source, f"state {state_id!r}: action {action_type!r} 'on' must be a widget id string")
         if raw["on"] not in widgets:
             raise _fail(source, f"state {state_id!r}: action {action_type!r} targets unknown widget {raw['on']!r}")
         widget = widgets[raw["on"]]
@@ -261,8 +259,11 @@ def model_from_dict(data: object, source: str = "<model>") -> AppModel:
         for required in ("activity", "package"):
             if required not in attributes:
                 raise _fail(source, f"state {state_id!r}: missing required attribute {required!r}")
+        raw_widgets = raw_state.get("widgets", [])
+        if not isinstance(raw_widgets, list):
+            raise _fail(source, f"state {state_id!r}: 'widgets' must be a list")
         widgets: dict[str, Widget] = {}
-        for raw_widget in raw_state.get("widgets", []):
+        for raw_widget in raw_widgets:
             widget = _check_widget(raw_widget, state_id, screen, source)
             if widget.object_id in widgets:
                 raise _fail(source, f"state {state_id!r}: duplicate widget id {widget.object_id!r}")

@@ -76,6 +76,24 @@ def test_model_error_exit(tmp_path, capsys):
     assert "model error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("widgets", None, "state 'main': 'widgets' must be a list"),
+    ("on", ["0:0"], "state 'main': action 'click' 'on' must be a widget id string"),
+])
+def test_malformed_model_value_exit(where, value, message, tmp_path, capsys):
+    data = json.loads((MODELS / "chesswalk_abstract.json").read_text())
+    state = next(s for s in data["states"] if s["id"] == "main")
+    if where == "widgets":
+        state["widgets"] = value
+    else:
+        next(a for a in state["actions"] if "on" in a)["on"] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    code = run("generate", "--model", str(model), "--formula", "true", "-o", str(tmp_path / "t.json"))
+    assert code == EXIT_MODEL_ERROR
+    assert capsys.readouterr().err == f"model error: {model}: {message}\n"
+
+
 def test_bad_config_exit(tmp_path, capsys):
     code = run(
         "generate", "--model", CHESSWALK, "--formula", "true",
@@ -385,6 +403,24 @@ PINNED_RUNS = {
     "chesswalk-no-prediction": (
         CHESSWALK, GO_ABOUT_AND_BACK, ("--seed", "7", "--no-prediction"), _CHESSWALK_DIGESTS,
     ),
+    # Screening finds no survivor three times, and charges the previous
+    # decision with each dead end, before an episode is satisfied.
+    "needle-dead-ends": (
+        NEEDLE, "X ([actionType=click] & X ([actionType=swipe] & X [actionType=click]))",
+        ("--seed", "3"), {
+            "test": "60f07ced8199a47a8586bf5ab5026a0f48e5550188ccf608d80aca859a19d1d1",
+            "log": "985dde5c40cc3b13e4aea2a5216a672b702020c595aa11b139bafe91fba9017a",
+            "csv": "802096dd74f37ed54ccbec62e6bda5829bc93a56754fbed3228f2fb4de9c45be",
+            "replay": "1998b4a4eec07f26288976f570d30ad2854e0d82ad67f4204071b8296fae3718",
+        },
+    ),
+    # Screening takes the action whose labels alone satisfy the formula at step 1.
+    "chesswalk-shortcut": (CHESSWALK, "X [actionType=back]", ("--seed", "1"), {
+        "test": "9bf4c19fd9128dd2d41b6f24be499772cfa2059ebfa6395cbf8dd7a53a7b6515",
+        "log": "56277baf31d3248e1c4a96629602ab6c3641255471ceac7944a9c1c9cd972b16",
+        "csv": "8a87ea5360216ff3e8e4902e087dfe5babc5c8e97501dce2f6c944bdfa535323",
+        "replay": "7f15721f804aac63735131c792d84d3c038471bf3fa0f339c3d0124c4c4ca311",
+    }),
 }
 
 

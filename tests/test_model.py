@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from ltlgen import (
     save_test,
     state_labeling,
 )
-from ltlgen.model import MissingTransition
+from ltlgen.model import AppModel
 from conftest import MODELS
 from helpers import lab
 
@@ -125,6 +126,24 @@ def test_validation_names_unknown_widget_reference():
         model_from_dict(data)
 
 
+@pytest.mark.parametrize("widgets", [None, 3, "0:0", {"objectID": "0:0"}])
+def test_validation_requires_a_widget_list(widgets):
+    data = minimal_model()
+    data["states"][0]["widgets"] = widgets
+    with pytest.raises(ModelError, match="^<model>: state 'a': 'widgets' must be a list$"):
+        model_from_dict(data)
+
+
+@pytest.mark.parametrize("on", [None, 0, ["0:0"], {"objectID": "0:0"}])
+def test_validation_requires_a_widget_id_string(on):
+    data = minimal_model()
+    data["states"][0]["actions"][0]["on"] = on
+    with pytest.raises(
+        ModelError, match="^<model>: state 'a': action 'click' 'on' must be a widget id string$"
+    ):
+        model_from_dict(data)
+
+
 def test_validation_rejects_duplicate_state_ids():
     data = minimal_model()
     data["states"].append(copy.deepcopy(data["states"][0]))
@@ -201,6 +220,51 @@ def test_load_missing_file(tmp_path):
         load_model(tmp_path / "absent.json")
 
 
+# One value of each kind JSON has, to put in place of a value of a model file.
+_REPLACEMENTS = (None, True, False, 0, -1, 2.5, "", "x", [], [0], {}, {"x": 1})
+_DELETE = object()
+
+
+def _json_values(value, path=()):
+    """(path, value) of every value nested in decoded JSON, the root excluded."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,), child
+        yield from _json_values(child, path + (key,))
+
+
+@pytest.mark.parametrize("name", ["chesswalk_abstract.json", "flaky.json", "needle.json"])
+def test_one_replaced_value_loads_or_raises_model_error(name):
+    text = (MODELS / name).read_text()
+    nested = list(_json_values(json.loads(text)))
+    # Besides one value of each kind, each path gets a seeded draw from the
+    # file's own values, such as another state's id as a transition target.
+    own = sorted({json.dumps(v) for _, v in nested if not isinstance(v, (dict, list))})
+    rng = random.Random(0)
+    for path, _ in nested:
+        for replacement in (*_REPLACEMENTS, json.loads(rng.choice(own)), _DELETE):
+            data = json.loads(text)
+            owner = data
+            for key in path[:-1]:
+                owner = owner[key]
+            if replacement is _DELETE:
+                del owner[path[-1]]
+            else:
+                owner[path[-1]] = replacement
+            try:
+                model = model_from_dict(data)
+            except ModelError:
+                continue
+            except Exception as exc:
+                pytest.fail(f"{name} at {path}, replaced by {replacement!r}: {exc!r}")
+            assert isinstance(model, AppModel)
+
+
 # --- sessions ---
 
 def test_only_reinitialize_enabled_before_launch(chesswalk):
@@ -264,9 +328,9 @@ def test_execute_rejects_disabled_action_by_name(chesswalk, case):
 
 def test_transition_rejects_undeclared_action(chesswalk):
     main = chesswalk.states["main"]
-    with pytest.raises(MissingTransition, match="state 'main' has no transition for 'swipe up'"):
+    with pytest.raises(ActionNotEnabled, match="state 'main' has no transition for 'swipe up'"):
         chesswalk.transition(main, GuiAction("swipe", ("up",)))
-    with pytest.raises(MissingTransition):
+    with pytest.raises(ActionNotEnabled):
         chesswalk.transition(DONT_CARE, GuiAction("back"))
     assert chesswalk.transition(DONT_CARE, GuiAction("reinitialize", ("MainActivity",))) == (
         ("main", 1.0),

@@ -263,7 +263,6 @@ def test_memoized_screening_matches_direct_pipeline(seed):
     phi = random_formula(random.Random(seed), 8, MEMO_LEAVES)
     alphabet = frozenset((CLICK, GO))
     kinds = {}
-    residues = {}
     for action in ACTIONS:
         labels = action_labeling(action, alphabet)
         residue = simplify(advance(restrict(expand(phi), labels, action_only=True)))
@@ -272,13 +271,21 @@ def test_memoized_screening_matches_direct_pipeline(seed):
             else engine.DEAD_END if residue is FALSE
             else engine.CONTINUE
         )
-        residues[labels] = residue
-    engine._residue.cache_clear()
+    engine._screen.cache_clear()
     for _ in range(2):
         for action in ACTIONS:
             assert prune_and_predict(phi, (), [action], alphabet).kind == kinds[action]
-    # One residue per distinct action labeling, each equal to the direct one.
-    assert engine._residue.cache_info().currsize == len(residues)
-    for labels, residue in residues.items():
-        assert engine._residue(phi, labels) is residue
-    assert engine._residue.cache_info().misses == len(residues)
+    # One screening per distinct enabled tuple; every repeat is a hit.
+    info = engine._screen.cache_info()
+    assert (info.misses, info.hits) == (len(ACTIONS), len(ACTIONS))
+    # A list and a tuple of the same actions are one key and one prediction:
+    # the first action that satisfies outright, or every one not falsified.
+    prediction = prune_and_predict(phi, (), list(ACTIONS), alphabet)
+    assert prune_and_predict(phi, (), tuple(ACTIONS), alphabet) == prediction
+    info = engine._screen.cache_info()
+    assert (info.misses, info.hits) == (len(ACTIONS) + 1, len(ACTIONS) + 1)
+    shortcut = next((a for a in ACTIONS if kinds[a] == engine.SATISFIED), None)
+    survivors = [] if shortcut else [a for a in ACTIONS if kinds[a] == engine.CONTINUE]
+    kind = engine.SATISFIED if shortcut else engine.CONTINUE if survivors else engine.DEAD_END
+    assert (prediction.kind, prediction.action) == (kind, shortcut)
+    assert [a for _, a in prediction.survivors] == survivors
