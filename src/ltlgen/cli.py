@@ -79,8 +79,6 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
         "--no-timing", action="store_true",
         help="report wall times as 0 for byte-reproducible output",
     )
-    parser.add_argument("--log", help="write per-step episode records to this file")
-    parser.add_argument("--verbose", action="store_true", help="print episode records to stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,6 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument(
         "-o", "--output", default="test.json", help="replayable test file written on success"
     )
+    p_generate.add_argument("--log", help="write per-step episode records to this file")
+    p_generate.add_argument("--verbose", action="store_true", help="print episode records to stdout")
     p_generate.set_defaults(func=cmd_generate)
 
     p_replay = sub.add_parser("replay", help="re-execute a test file and check the formula")

@@ -4,16 +4,16 @@ The only primitive connectives are truth, predicates, negation, conjunction,
 next, and until.  Disjunction, implication, finally, globally, and the
 ``false`` literal are parser sugar and never appear in a tree.
 
-Nodes are hash-consed through ``Interned`` and ``intern``, which the
-learner's decisions share.  ``simplify`` gives the normal form every
-obligation is kept in; it treats conjunctions as sets, which keeps the
-obligation of a formula such as ``G F p`` from growing with the length of
-an episode.
+Nodes are hash-consed through ``Interned`` and ``intern``, which verdicts,
+GUI actions and the learner's decisions share.  ``simplify`` gives the
+normal form every obligation is kept in; it treats conjunctions as sets,
+which keeps the obligation of a formula such as ``G F p`` from growing with
+the length of an episode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -54,12 +54,17 @@ class AtomicProposition:
 class Interned:
     """Base class for hash-consed values: immutable, one object per value.
 
-    A constructor returns the stored object equal to what it would build
-    (see ``intern``), so ``==`` and ``hash`` are the identity defaults and a
-    lookup never walks the value.  Identity hashes differ between processes;
-    nothing iterates a collection keyed by interned objects in an order that
-    reaches output.  Interned objects are never evicted: each table grows
-    with the number of distinct values a process builds.
+    Formula nodes, verdicts, GUI actions (``model.GuiAction``) and learner
+    decisions (``engine.Decision``) derive from it.  A constructor returns
+    the stored object equal to what it would build (see ``intern``), so
+    ``==`` and ``hash`` are the identity defaults and a lookup never walks
+    the value.  The slots of the class itself are its constructor's
+    arguments, which the repr shows and pickling passes back; values derived
+    from them, computed once, go in the slots of a base class.  Identity
+    hashes differ between processes; nothing iterates a collection keyed by
+    interned objects in an order that reaches output.  Interned objects are
+    never evicted: each table grows with the number of distinct values a
+    process builds.
     """
 
     __slots__ = ()
@@ -284,30 +289,27 @@ class Labeling(frozenset):
         return "{" + ", ".join(str(a) for a in sorted(self)) + "}"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _Resolved(Interned):
+    # Resolved once, when a verdict is built: a step reads them and calls
+    # nothing.  Slots of a base class, so left out of repr and pickling.
+    __slots__ = ("is_true", "is_false")
+
+
+class Verdict(_Resolved):
     """Three-valued outcome of one projection step.
 
     Wraps the simplified remaining obligation; ``true`` and ``!true``
     collapse to the determined verdicts, anything else is undetermined.
     """
 
-    formula: Formula
-    # Resolved once, when the verdict is built: a step reads them and calls
-    # nothing.  Left out of equality, hash, repr and the pickled state.
-    is_true: bool = field(init=False, compare=False, repr=False)
-    is_false: bool = field(init=False, compare=False, repr=False)
+    __slots__ = ("formula",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "is_true", self.formula is TRUE)
-        object.__setattr__(self, "is_false", self.formula is FALSE)
+    def __new__(cls, formula: Formula) -> Verdict:
+        return intern(_VERDICTS, (formula,), cls, (formula, formula is TRUE, formula is FALSE))
 
-    def __getstate__(self) -> dict:
-        return {"formula": self.formula}
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
+# Every verdict ever built, keyed by its formula.
+_VERDICTS: dict[tuple[Formula], Verdict] = {}
 
 
 # Renderer precedence; higher binds tighter.  The parser accepts the same

@@ -6,6 +6,10 @@ three observations an episode needs: the enabled actions of the current
 state, the sampled successor of an executed action, and predicate labelings
 for states and actions.
 
+Actions are hash-consed like formula nodes (``formula.Interned``): one
+object per distinct action, shared by every model that enables it, and
+compared and hashed by identity.
+
 The pre-launch don't-care state is implicit: it is never listed in a file,
 and the only actions enabled there are the reinitialize actions derived from
 the file's ``initial`` map.  Loading stores them, and their transitions,
@@ -17,11 +21,11 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .formula import AtomicProposition, Labeling
+from .formula import AtomicProposition, Interned, Labeling, intern
 
 
 class ModelError(Exception):
@@ -50,41 +54,30 @@ class Widget:
         return (x1 + x2) // 2, (y1 + y2) // 2
 
 
-@dataclass(frozen=True)
-class GuiAction:
+class _Signed(Interned):
+    # Built once: a step reads it several times.  A slot of a base class, so
+    # left out of repr and pickling.
+    __slots__ = ("signature",)
+
+
+class GuiAction(_Signed):
     """One executable gesture; ``target``/``detail`` come from the widget it
     acts on and are empty for widget-independent actions."""
 
-    action_type: str
-    params: tuple[str, ...] = ()
-    target: str = ""
-    detail: str = ""
-    # Built once: a step reads them several times.  Left out of equality,
-    # hash, repr and the pickled state; the stored hash is the value the
-    # generated __hash__ would give.
-    signature: ActionSig = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("action_type", "params", "target", "detail")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signature", (self.action_type, self.params, self.target))
-        object.__setattr__(
-            self, "_hash", hash((self.action_type, self.params, self.target, self.detail))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["signature"], state["_hash"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
+    def __new__(
+        cls, action_type: str, params: tuple[str, ...] = (), target: str = "", detail: str = ""
+    ) -> GuiAction:
+        key = (action_type, params, target, detail)
+        return intern(_ACTIONS, key, cls, key + ((action_type, params, target),))
 
     def describe(self) -> str:
         return " ".join((self.action_type,) + self.params)
+
+
+# Every action ever built, keyed by its fields.
+_ACTIONS: dict[tuple[str, tuple[str, ...], str, str], GuiAction] = {}
 
 
 @dataclass(frozen=True, eq=False)

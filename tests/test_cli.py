@@ -242,6 +242,19 @@ def test_usage_error_exits_via_argparse(capsys):
     capsys.readouterr()
 
 
+def test_experiment_rejects_generate_only_flags(tmp_path, capsys):
+    argv = (
+        "experiment", "--model", CHESSWALK, "--formula", "X [activity~About]",
+        "--reps", "2", "--csv", str(tmp_path / "runs.csv"),
+    )
+    for extra in (("--log", str(tmp_path / "episodes.log")), ("--verbose",)):
+        with pytest.raises(SystemExit) as info:
+            run(*argv, *extra)
+        assert info.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_codes_are_distinct():
     codes = {EXIT_OK, EXIT_USAGE, EXIT_EXHAUSTED, EXIT_MODEL_ERROR, EXIT_FORMULA_ERROR}
     assert len(codes) == 5
@@ -421,6 +434,18 @@ PINNED_RUNS = {
         "csv": "8a87ea5360216ff3e8e4902e087dfe5babc5c8e97501dce2f6c944bdfa535323",
         "replay": "7f15721f804aac63735131c792d84d3c038471bf3fa0f339c3d0124c4c4ca311",
     }),
+    # A 0.7/0.3 transition that satisfies the formula on either branch; the
+    # two replay attempts take both.  Terminal rewards only, and no history
+    # in the learner's state.
+    "flaky-either-branch": (
+        FLAKY, "X ([actionType=click] & ([activity~Win] | [activity~Lose]))",
+        ("--seed", "5", "--no-reward-shaping", "--tail-length", "0"), {
+            "test": "319706df170f2c32c6fe9770abd29e8e3ecd0ef4a447484116739a641faf693c",
+            "log": "09fd2fc4bf30695967f69d7d1b0a33b2d36505ae45219e2c69fbdeced6770c03",
+            "csv": "43892cc31c1238b3362f3d0a987b1a9b39c954de5d511889070b0bf10d473cad",
+            "replay": "b57b86321baed401ba565570590616346873a62d2d20b778ad585db2e31ee506",
+        },
+    ),
 }
 
 

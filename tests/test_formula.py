@@ -149,9 +149,11 @@ def test_verdict_normalization():
 @pytest.mark.parametrize("phi", [TRUE, FALSE, Atom(P)], ids=["true", "false", "undetermined"])
 def test_verdict_stores_its_resolved_flags(phi):
     verdict = Verdict(phi)
-    assert vars(verdict) == {"formula": phi, "is_true": phi is TRUE, "is_false": phi is FALSE}
+    assert verdict is Verdict(phi)
+    assert (verdict.is_true, verdict.is_false) == (phi is TRUE, phi is FALSE)
     assert b"is_true" not in pickle.dumps(verdict)
     for other in (copy.copy(verdict), copy.deepcopy(verdict), pickle.loads(pickle.dumps(verdict))):
+        assert other is verdict
         assert other == verdict and hash(other) == hash(verdict)
         assert (other.is_true, other.is_false) == (phi is TRUE, phi is FALSE)
 
