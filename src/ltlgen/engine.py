@@ -16,13 +16,18 @@ the dead end.
 
 Every table a step reads is a cached pure function of its arguments, kept
 for the life of the process: projection, the screening of an obligation
-over a state's enabled actions, and the labeling of a step by its action
-and resulting state object.  The normal form of each input formula, which
-every run of it starts from, is cached the same way.
+over a state's enabled actions, the learner's candidates at a tail (its
+decisions over the surviving actions and the action each one stands for),
+and the labeling of a step by its action and resulting state object.  The
+normal form of each input formula, which every run of it starts from, is
+cached the same way.
 
 A step builds only tuples: ``StepRecord`` and ``Prediction`` are named
 tuples, so a step record compares equal to the plain tuple of its values,
-and a verdict carries its resolved flags from when it was built.
+and a verdict carries its resolved flags from when it was built.  The
+learner's step builds no dict or list either, and no decision except the
+one for an action that satisfies the obligation outright: it reads them
+from the candidate tables.
 
 ``run_episode`` is the only loop that executes actions: the uniform
 baseline and replay run through it with a fixed way to pick each action.
@@ -34,8 +39,9 @@ import functools
 import math
 import random
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .formula import (
@@ -276,6 +282,28 @@ def _screen(
 
 
 @functools.cache
+def _candidates(tail: Tail, actions: tuple[GuiAction, ...]) -> tuple[
+    tuple[tuple[Decision, GuiAction], ...], tuple[Decision, ...], Mapping[Decision, GuiAction]
+]:
+    """The learner's choices among actions at a tail, as (the (decision,
+    action) pairs, the decisions, each decision's action)."""
+    pairs = tuple([(Decision(tail, a.signature), a) for a in actions])
+    return (pairs, *_choices(pairs))
+
+
+@functools.cache
+def _choices(
+    pairs: tuple[tuple[Decision, GuiAction], ...],
+) -> tuple[tuple[Decision, ...], Mapping[Decision, GuiAction]]:
+    """The decisions of (decision, action) pairs and each one's action.
+    Actions of one signature make one decision, which maps to the last of
+    them.  ``run_episode`` reaches a prediction's choices through its pairs.
+    The map is read-only: every caller shares it."""
+    by_decision = dict(pairs)
+    return tuple(by_decision), MappingProxyType(by_decision)
+
+
+@functools.cache
 def _step_labels(
     action: GuiAction, state: GuiState, alphabet: frozenset
 ) -> tuple[Labeling, Labeling]:
@@ -300,7 +328,7 @@ def prune_and_predict(
     surviving actions still face the full projection after execution.
     """
     kind, action, survivors = _screen(phi, tuple(enabled), alphabet)
-    return Prediction(kind, action, tuple([(Decision(tail, a.signature), a) for a in survivors]))
+    return Prediction(kind, action, _candidates(tail, survivors)[0])
 
 
 def learn(
@@ -413,9 +441,7 @@ def run_episode(
             if config.predict:
                 prediction = prune_and_predict(phi, tail, enabled, alphabet)
             else:
-                prediction = Prediction(
-                    CONTINUE, survivors=tuple([(Decision(tail, a.signature), a) for a in enabled])
-                )
+                prediction = Prediction(CONTINUE, survivors=_candidates(tail, tuple(enabled))[0])
             if prediction.kind == DEAD_END:
                 # Its labels are already stored and its tail seen, so learn needs no labels.
                 if previous is not None:
@@ -428,10 +454,8 @@ def run_episode(
                 action = prediction.action
                 decision = Decision(tail, action.signature)
             else:
-                by_decision = dict(prediction.survivors)
-                decision = decide_next_action(
-                    store, list(by_decision), temperature, epsilon, policy_rng
-                )
+                decisions, by_decision = _choices(prediction.survivors)
+                decision = decide_next_action(store, decisions, temperature, epsilon, policy_rng)
                 action = by_decision[decision]
         state = session.execute(action)
         action_labels, labels = _step_labels(action, state, alphabet)

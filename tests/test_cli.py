@@ -365,6 +365,10 @@ def _artifacts_under_hash_seed(hash_seed: str, out_dir) -> dict[str, bytes]:
                      "-o", str(out_dir / "test.json"), "--log", str(out_dir / "episodes.log")),
         "experiment": ("experiment", *common, "--seed", "40", "--reps", "5",
                        "--csv", str(out_dir / "runs.csv")),
+        # Screening prunes here, so the learner chooses among cached candidates.
+        "needle": ("generate", "--model", NEEDLE, "--formula", NEEDLE_B, "--no-timing",
+                   "--seed", "3", "-o", str(out_dir / "needle.json"),
+                   "--log", str(out_dir / "needle.log")),
     }
     artifacts = {}
     for name, argv in commands.items():
@@ -379,11 +383,15 @@ def _artifacts_under_hash_seed(hash_seed: str, out_dir) -> dict[str, bytes]:
 
 
 def test_artifacts_identical_across_hash_seeds(tmp_path):
-    # Formula nodes hash by identity and predicates by string hash; neither
-    # may leak into the test file, the episode log or the experiment CSV.
+    # Formula nodes and learner decisions hash by identity and predicates by
+    # string hash; none may leak into the test file, the episode log or the
+    # experiment CSV.
     first = _artifacts_under_hash_seed("0", tmp_path / "seed0")
     second = _artifacts_under_hash_seed("1", tmp_path / "seed1")
-    assert sorted(first) == ["episodes.log", "experiment.stdout", "generate.stdout", "runs.csv", "test.json"]
+    assert sorted(first) == [
+        "episodes.log", "experiment.stdout", "generate.stdout", "needle.json", "needle.log",
+        "needle.stdout", "runs.csv", "test.json",
+    ]
     assert first == second
 
 
@@ -416,6 +424,14 @@ PINNED_RUNS = {
     "chesswalk-no-prediction": (
         CHESSWALK, GO_ABOUT_AND_BACK, ("--seed", "7", "--no-prediction"), _CHESSWALK_DIGESTS,
     ),
+    # Unscreened, the learner also weighs the actions screening would drop,
+    # so the log and the CSV differ from needle-b-learner's.
+    "needle-no-prediction": (NEEDLE, NEEDLE_B, ("--seed", "0", "--no-prediction"), {
+        "test": "ebc3a467743bebf010b7f65f08418beddb78a388202c80f47afb4ae042a42c5f",
+        "log": "212f28c65cf9ee2b91229628c408dcb25ec7d906031b246a06a61da4f1076dfe",
+        "csv": "887109c0b2fb25b69404e4794950f6c73d4dcca8037f7621a7f96e10ffc4c119",
+        "replay": "8711aaf6ea764e7e2f88cf9f1e51bd10e0a06a43cc16fc24e19ff006446bf62d",
+    }),
     # Screening finds no survivor three times, and charges the previous
     # decision with each dead end, before an episode is satisfied.
     "needle-dead-ends": (

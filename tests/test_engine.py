@@ -31,6 +31,7 @@ from ltlgen import (
     replay,
     run_episode,
 )
+from ltlgen import engine
 from ltlgen.engine import CONTINUE, DEAD_END, SATISFIED, Prediction, StepRecord
 from conftest import GO_ABOUT_AND_BACK, NEEDLE_A, NEEDLE_B, NEEDLE_C
 from helpers import FixedRoll, lab
@@ -333,6 +334,58 @@ def test_prune_detects_satisfaction_from_labels_alone():
     )
     assert result.kind == SATISFIED
     assert result.action == BACK
+
+
+# --- candidate cache ---
+
+TAIL = ((BACK.signature, "main"),)
+
+
+def test_candidates_pair_each_action_with_its_decision():
+    actions = (CLICK, BACK, PAUSE)
+    pairs, decisions, by_decision = engine._candidates(TAIL, actions)
+    expected = [(Decision(TAIL, a.signature), a) for a in actions]
+    assert len(pairs) == len(expected)
+    for (decision, action), (want_decision, want_action) in zip(pairs, expected):
+        assert decision is want_decision and action is want_action
+    assert decisions == tuple(d for d, _ in expected)
+    assert by_decision == dict(expected)
+    # Every caller shares the cached map, so it is read-only.
+    with pytest.raises(TypeError):
+        by_decision[decisions[0]] = BACK
+
+
+def test_candidates_are_computed_once_per_key():
+    actions = (PAUSE, CLICK)
+    engine._candidates.cache_clear()
+    first = engine._candidates(TAIL, actions)
+    again = engine._candidates(TAIL, actions)
+    assert again is first
+    assert all(part is first_part for part, first_part in zip(again, first))
+    info = engine._candidates.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_candidates_key_a_list_and_a_tuple_alike():
+    phi = parse("[activity~Main]")
+    engine._candidates.cache_clear()
+    from_list = prune_and_predict(phi, TAIL, [CLICK, BACK], frozenset())
+    from_tuple = prune_and_predict(phi, TAIL, (CLICK, BACK), frozenset())
+    assert from_tuple.survivors is from_list.survivors
+    info = engine._candidates.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_actions_of_one_signature_make_one_decision_for_the_later_action():
+    twin = GuiAction(CLICK.action_type, CLICK.params, CLICK.target, "Stop")
+    assert twin is not CLICK and twin.signature == CLICK.signature
+    enabled = (CLICK, BACK, twin)
+    pairs, decisions, by_decision = engine._candidates(TAIL, enabled)
+    assert len(pairs) == 3
+    # What dict(prediction.survivors) kept: one decision per signature, the last action.
+    assert by_decision == dict(pairs)
+    assert decisions == (Decision(TAIL, CLICK.signature), Decision(TAIL, BACK.signature))
+    assert by_decision[decisions[0]] is twin
 
 
 # --- episodes ---
