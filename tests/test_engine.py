@@ -382,7 +382,7 @@ def test_actions_of_one_signature_make_one_decision_for_the_later_action():
     enabled = (CLICK, BACK, twin)
     pairs, decisions, by_decision = engine._candidates(TAIL, enabled)
     assert len(pairs) == 3
-    # What dict(prediction.survivors) kept: one decision per signature, the last action.
+    # As dict(pairs) keeps them: one decision per signature, mapped to its last action.
     assert by_decision == dict(pairs)
     assert decisions == (Decision(TAIL, CLICK.signature), Decision(TAIL, BACK.signature))
     assert by_decision[decisions[0]] is twin
