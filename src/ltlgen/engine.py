@@ -25,9 +25,12 @@ cached the same way.
 A step builds only tuples: ``StepRecord`` and ``Prediction`` are named
 tuples, so a step record compares equal to the plain tuple of its values,
 and a verdict carries its resolved flags from when it was built.  The
-learner's step builds no dict or list either, and no decision except the
-one for an action that satisfies the obligation outright: it reads them
-from the candidate tables.
+learner's step builds no dict either, and no decision except the one for
+an action that satisfies the obligation outright: it reads them from the
+candidate tables.  Its only lists are the policy's, for a choice among two
+or more candidates; a lone candidate is taken without the softmax, at the
+cost of the one random draw every choice makes.  ``learn`` clamps each
+update to the vigilance bound with comparisons, not ``min``/``max`` calls.
 
 ``run_episode`` is the only loop that executes actions: the uniform
 baseline and replay run through it with a fixed way to pick each action.
@@ -144,6 +147,9 @@ class LearnerConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.vigilance <= 0:
             raise ValueError("vigilance must be positive")
+        # A policy score is a summed Q-value, at most 2 * vigilance, over 2 * temperature.
+        if not math.isfinite(2.0 * self.vigilance / (2.0 * self.t_min)):
+            raise ValueError("vigilance / t_min overflows the policy's scores")
         if self.elig_min <= 0:
             raise ValueError("elig_min must be positive")
         if self.tail_length < 0:
@@ -208,14 +214,16 @@ def policy_probabilities(
     store: QStore, candidates: Sequence[Decision], temperature: float, epsilon: float
 ) -> list[float]:
     """Softmax over summed Q-values mixed with an epsilon-uniform floor."""
-    scores = [
-        (store.q1.get(d, 0.0) + store.q2.get(d, 0.0)) / (2.0 * temperature) for d in candidates
-    ]
+    q1, q2, exp = store.q1.get, store.q2.get, math.exp
+    scale = 2.0 * temperature
+    scores = [(q1(d, 0.0) + q2(d, 0.0)) / scale for d in candidates]
     peak = max(scores)
-    weights = [math.exp(s - peak) for s in scores]
+    weights = [exp(s - peak) for s in scores]
+    # The builtin sum: from CPython 3.12 it compensates, and the bytes follow it.
     total = sum(weights)
-    uniform = 1.0 / len(candidates)
-    return [(1.0 - epsilon) * w / total + epsilon * uniform for w in weights]
+    keep = 1.0 - epsilon
+    floor = epsilon * (1.0 / len(candidates))
+    return [keep * w / total + floor for w in weights]
 
 
 def decide_next_action(
@@ -225,9 +233,16 @@ def decide_next_action(
     epsilon: float,
     rng: random.Random,
 ) -> Decision:
-    """Sample one decision according to the policy distribution."""
+    """Sample one decision according to the policy distribution.
+
+    Every call draws once from ``rng``.  A lone candidate is certain, so it
+    is taken without the softmax.
+    """
     if not candidates:
         raise ValueError("no candidate decisions to choose from")
+    if len(candidates) == 1:
+        rng.random()
+        return candidates[0]
     probabilities = policy_probabilities(store, candidates, temperature, epsilon)
     roll = rng.random()
     acc = 0.0
@@ -366,9 +381,12 @@ def learn(
     for eligible, trace_value in list(elig.items()):
         labels = labels_of[eligible.action]
         step = eta * delta * trace_value
-        value_a1 = min(max(qa1.get(labels, 0.0) + step, low), bound)
+        # Clamped by branches, not min/max calls; the floats are the same.
+        value = qa1.get(labels, 0.0) + step
+        value_a1 = low if value < low else bound if value > bound else value
         qa1[labels] = value_a1
-        value_1 = min(max(q1.get(eligible, 0.0) + step, low), bound)
+        value = q1.get(eligible, 0.0) + step
+        value_1 = low if value < low else bound if value > bound else value
         q1[eligible] = value_1
         qa2[labels] = keep * value_a1 + mix * qa2.get(labels, 0.0)
         q2[eligible] = keep * value_1 + mix * q2.get(eligible, 0.0)

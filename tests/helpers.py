@@ -1,8 +1,9 @@
 """Shared builders for the test suite: predicates, labelings, formula
-generators, and the reference learner update."""
+generators, and the reference learner update and policy."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from ltlgen import (
@@ -152,3 +153,32 @@ def reference_learn(store, decision, reward, config, eta, rng, action_labels=Non
         store.q1, store.q2 = store.q2, store.q1
         store.qa1, store.qa2 = store.qa2, store.qa1
     return delta
+
+
+def reference_policy_probabilities(store, candidates, temperature, epsilon) -> list[float]:
+    """``engine.policy_probabilities`` as written before its lookups were
+    hoisted, kept as the reference its floats must equal."""
+    scores = [
+        (store.q1.get(d, 0.0) + store.q2.get(d, 0.0)) / (2.0 * temperature) for d in candidates
+    ]
+    peak = max(scores)
+    weights = [math.exp(s - peak) for s in scores]
+    total = sum(weights)
+    uniform = 1.0 / len(candidates)
+    return [(1.0 - epsilon) * w / total + epsilon * uniform for w in weights]
+
+
+def reference_decide_next_action(store, candidates, temperature, epsilon, rng):
+    """``engine.decide_next_action`` as written before a lone candidate
+    skipped the softmax, kept as the reference its choices and draws must
+    equal."""
+    if not candidates:
+        raise ValueError("no candidate decisions to choose from")
+    probabilities = reference_policy_probabilities(store, candidates, temperature, epsilon)
+    roll = rng.random()
+    acc = 0.0
+    for decision, probability in zip(candidates, probabilities):
+        acc += probability
+        if roll < acc:
+            return decision
+    return candidates[-1]

@@ -116,6 +116,20 @@ def test_non_finite_config_exit(flag, value, tmp_path, capsys):
     assert captured.err == f"invalid configuration: {flag.replace('-', '_')} must be finite, got {value}\n"
 
 
+def test_overflowing_policy_config_exit(tmp_path, capsys):
+    # Scores of inf would make every policy probability NaN.
+    code = run(
+        "generate", "--model", CHESSWALK, "--formula", GO_ABOUT_AND_BACK,
+        "--vigilance", "1e300", "--t0", "1e-300", "--t-min", "1e-300",
+        "-o", str(tmp_path / "t.json"),
+    )
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid configuration: vigilance / t_min overflows the policy's scores\n"
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_unwritable_output_exit(tmp_path, capsys):
     code = run(
         "generate", "--model", CHESSWALK, "--formula", GO_ABOUT_AND_BACK,
@@ -441,6 +455,20 @@ PINNED_RUNS = {
             "log": "985dde5c40cc3b13e4aea2a5216a672b702020c595aa11b139bafe91fba9017a",
             "csv": "802096dd74f37ed54ccbec62e6bda5829bc93a56754fbed3228f2fb4de9c45be",
             "replay": "1998b4a4eec07f26288976f570d30ad2854e0d82ad67f4204071b8296fae3718",
+        },
+    ),
+    # The vigilance clamp binds on 135 of the run's 224 clamped values, and
+    # the softmax runs near its temperature floor with little exploration.
+    # It finds the same test as chesswalk-learner, after 30 episodes and 67
+    # steps.
+    "chesswalk-tight-vigilance": (
+        CHESSWALK, GO_ABOUT_AND_BACK,
+        ("--seed", "11", "--vigilance", "0.25", "--t0", "0.6", "--t-min", "0.55", "--eps0", "0.05"),
+        {
+            "test": "d7c61e09ba3b0fb1dca0f85856df13649b01e7c19aa3fc4729ab796f25affbb6",
+            "log": "9de44f9597bbcff77833328ee96e7b58afbe0d0a49e87ccb05d5804199fdf858",
+            "csv": "da4b780b4c52c893002c44644d218fd796e7e3cdb7e66469b934369baa66cc40",
+            "replay": "74c843e4ec77d08e36f24cdda2202c482eee0f99de7d7e08cce3bd00e7fff118",
         },
     ),
     # Screening takes the action whose labels alone satisfy the formula at step 1.

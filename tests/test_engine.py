@@ -72,6 +72,9 @@ def test_default_config_is_valid():
         ("t0", math.nan),
         ("eps_update", math.inf),
         ("vigilance", -math.inf),
+        # Finite knobs whose policy scores would overflow to inf.
+        ("vigilance", 1e308),
+        ("t_min", 5e-324),
     ],
 )
 def test_config_validation_rejects(field, value):

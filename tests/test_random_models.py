@@ -19,8 +19,10 @@ from ltlgen import (
     Until,
     action_labeling,
     atom_set,
+    decide_next_action,
     learn,
     model_from_dict,
+    policy_probabilities,
     replay,
     run_episode,
     simplify,
@@ -28,7 +30,7 @@ from ltlgen import (
 )
 from ltlgen.engine import ENGINES
 from ltlgen.progression import evaluate
-from helpers import reference_learn
+from helpers import reference_decide_next_action, reference_learn, reference_policy_probabilities
 
 ACTIVITIES = ("MainActivity", "AboutActivity", "SettingsActivity")
 TEXTS = ("Go", "About", "Off")
@@ -243,3 +245,37 @@ def test_learn_equals_the_reference_update(vigilance, doubleness, elig_decay, el
     for name in ("qa1", "qa2", "action_labels"):
         assert list(getattr(store, name).items()) == list(getattr(reference, name).items())
     assert store.seen_tails == reference.seen_tails
+
+
+DECISIONS = [
+    Decision(tail, action) for tail in ((), ((SIGNATURES[0], "s0"),)) for action in SIGNATURES
+]
+
+
+@st.composite
+def policy_inputs(draw):
+    """A store with Q-values of every kind a run reaches, including 0 and
+    the vigilance bounds exactly, and 1-6 candidates, repeats allowed."""
+    bound = draw(st.floats(0.05, 5.0))
+    values = st.sampled_from((0.0, bound, -bound)) | st.floats(-bound, bound)
+    store = QStore()
+    for table in (store.q1, store.q2):
+        for decision in draw(st.lists(st.sampled_from(DECISIONS), unique=True)):
+            table[decision] = draw(values)
+    candidates = draw(st.lists(st.sampled_from(DECISIONS), min_size=1, max_size=6))
+    return store, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(policy_inputs(), st.floats(0.01, 10.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_policy_equals_the_reference_policy(inputs, temperature, epsilon, seed):
+    store, candidates = inputs
+    assert policy_probabilities(store, candidates, temperature, epsilon) == (
+        reference_policy_probabilities(store, candidates, temperature, epsilon)
+    )
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    chosen = decide_next_action(store, candidates, temperature, epsilon, rng)
+    expected = reference_decide_next_action(store, candidates, temperature, epsilon, reference_rng)
+    assert chosen is expected
+    # One draw per call, also for a lone candidate.
+    assert rng.getstate() == reference_rng.getstate()
