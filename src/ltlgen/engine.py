@@ -219,7 +219,7 @@ def policy_probabilities(
     scores = [(q1(d, 0.0) + q2(d, 0.0)) / scale for d in candidates]
     peak = max(scores)
     weights = [exp(s - peak) for s in scores]
-    # The builtin sum: from CPython 3.12 it compensates, and the bytes follow it.
+    # Keep the builtin sum: from CPython 3.12 it compensates, and outputs depend on its bytes.
     total = sum(weights)
     keep = 1.0 - epsilon
     floor = epsilon * (1.0 / len(candidates))
@@ -381,7 +381,7 @@ def learn(
     for eligible, trace_value in list(elig.items()):
         labels = labels_of[eligible.action]
         step = eta * delta * trace_value
-        # Clamped by branches, not min/max calls; the floats are the same.
+        # Cheaper than min/max calls, and the same float for every value, NaN too, as low < bound.
         value = qa1.get(labels, 0.0) + step
         value_a1 = low if value < low else bound if value > bound else value
         qa1[labels] = value_a1
