@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import statistics
+import math
 import sys
 from pathlib import Path
 
@@ -226,10 +226,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     failures = sum(1 for s in rows if s.outcome != "satisfied")
     steps = [s.steps for s in rows]
     walls = [0.0 if args.no_timing else s.wall_time_ms for s in rows]
+    # statistics.fmean's own arithmetic, without importing statistics, which
+    # pulls decimal and fractions into every command.
     print(
         f"engine={args.engine} reps={args.reps} failures={failures} "
-        f"meanSteps={statistics.fmean(steps):.2f} maxSteps={max(steps)} "
-        f"meanWallTimeMs={statistics.fmean(walls):.3f} maxWallTimeMs={max(walls):.3f}"
+        f"meanSteps={math.fsum(steps) / len(steps):.2f} maxSteps={max(steps)} "
+        f"meanWallTimeMs={math.fsum(walls) / len(walls):.3f} maxWallTimeMs={max(walls):.3f}"
     )
     return EXIT_OK
 

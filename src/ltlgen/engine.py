@@ -33,7 +33,14 @@ cost of the one random draw every choice makes.  ``learn`` clamps each
 update to the vigilance bound with comparisons, not ``min``/``max`` calls.
 
 ``run_episode`` is the only loop that executes actions: the uniform
-baseline and replay run through it with a fixed way to pick each action.
+baseline and replay run through it with a fixed way to pick each action,
+and keep no tail, which only the learner reads.
+
+The classes follow the package's one idiom (``formula.Interned``):
+decisions are interned values; step records, predictions, run statistics
+and generation results are named tuples; the learner's tables (``QStore``)
+and an episode's log are ``__slots__`` classes.  ``LearnerConfig`` is the
+one dataclass, since callers copy it with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import math
 import random
 import time
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -156,17 +163,19 @@ class LearnerConfig:
             raise ValueError("tail_length must be >= 0")
 
 
-@dataclass
 class QStore:
     """Tabular double-Q state plus the stateless action-label side tables."""
 
-    q1: dict[Decision, float] = field(default_factory=dict)
-    q2: dict[Decision, float] = field(default_factory=dict)
-    qa1: dict[Labeling, float] = field(default_factory=dict)
-    qa2: dict[Labeling, float] = field(default_factory=dict)
-    elig: dict[Decision, float] = field(default_factory=dict)
-    seen_tails: set[Tail] = field(default_factory=set)
-    action_labels: dict[ActionSig, Labeling] = field(default_factory=dict)
+    __slots__ = ("q1", "q2", "qa1", "qa2", "elig", "seen_tails", "action_labels")
+
+    def __init__(self) -> None:
+        self.q1: dict[Decision, float] = {}
+        self.q2: dict[Decision, float] = {}
+        self.qa1: dict[Labeling, float] = {}
+        self.qa2: dict[Labeling, float] = {}
+        self.elig: dict[Decision, float] = {}
+        self.seen_tails: set[Tail] = set()
+        self.action_labels: dict[ActionSig, Labeling] = {}
 
 
 class StepRecord(NamedTuple):
@@ -179,19 +188,23 @@ class StepRecord(NamedTuple):
     reward: float
 
 
-@dataclass
 class EpisodeLog:
-    index: int
-    steps: list[StepRecord]
-    outcome: str  # satisfied | falsified | dead_end | exhausted
+    """One episode's executed steps and how it ended: satisfied, falsified,
+    dead_end or exhausted."""
+
+    __slots__ = ("index", "steps", "outcome")
+
+    def __init__(self, index: int, steps: list[StepRecord], outcome: str) -> None:
+        self.index = index
+        self.steps = steps
+        self.outcome = outcome
 
     @property
     def satisfied(self) -> bool:
         return self.outcome == "satisfied"
 
 
-@dataclass(frozen=True)
-class RunStats:
+class RunStats(NamedTuple):
     outcome: str  # satisfied | exhausted
     episodes: int
     steps: int
@@ -199,8 +212,7 @@ class RunStats:
     seed: int
 
 
-@dataclass
-class GenerationResult:
+class GenerationResult(NamedTuple):
     test: list[GuiAction] | None
     stats: RunStats
     episodes: list[EpisodeLog]
@@ -482,9 +494,9 @@ def run_episode(
         if pick is None:
             learn(store, decision, reward, config, eta, swap_rng, action_labels=action_labels)
             previous = decision
+            if config.tail_length > 0:
+                tail = (tail + ((action.signature, state.id),))[-config.tail_length:]
         steps.append(StepRecord(k, action, labels, verdict.formula, reward))
-        if config.tail_length > 0:
-            tail = (tail + ((action.signature, state.id),))[-config.tail_length:]
         phi = verdict.formula
         if verdict.is_true:
             outcome = "satisfied"

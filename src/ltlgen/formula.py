@@ -4,8 +4,9 @@ The only primitive connectives are truth, predicates, negation, conjunction,
 next, and until.  Disjunction, implication, finally, globally, and the
 ``false`` literal are parser sugar and never appear in a tree.
 
-Nodes are hash-consed through ``Interned`` and ``intern``, which verdicts,
-GUI actions and the learner's decisions share.  ``simplify`` gives the
+Predicates and nodes are hash-consed through ``Interned`` and ``intern``,
+which verdicts, GUI actions and the learner's decisions share.  Its base,
+``Frozen``, also serves the model's states and the model itself.  ``simplify`` gives the
 normal form every obligation is kept in; it treats conjunctions as sets,
 which keeps the obligation of a formula such as ``G F p`` from growing with
 the length of an episode.
@@ -13,11 +14,77 @@ the length of an episode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+class Frozen:
+    """Base class for immutable objects that keep their fields in slots.
+
+    The slots of the class itself are its constructor's arguments, which the
+    repr shows and pickling passes back, so copies and unpickled objects are
+    rebuilt through the constructor.  Values derived from them, computed
+    once, go in the slots of a base class.  A constructor is a ``__new__``
+    that fills the slots through ``build``; ``==`` and ``hash`` are the
+    identity defaults.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, order=True)
-class AtomicProposition:
+def build(cls: type, values: tuple):
+    """A new ``cls`` object: ``values`` fill its slots and then those of its
+    bases, in that order."""
+    obj = object.__new__(cls)
+    names = (name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ()))
+    for name, value in zip(names, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class Interned(Frozen):
+    """Base class for hash-consed values: one object per value.
+
+    Formula nodes, predicates, verdicts, GUI actions (``model.GuiAction``)
+    and learner decisions (``engine.Decision``) derive from it.  A
+    constructor returns the stored object equal to what it would build (see
+    ``intern``), so identity is value equality, a lookup never walks the
+    value, and copies and unpickled objects come back as the stored object.
+    Identity hashes differ between processes; nothing iterates a collection
+    keyed by interned objects in an order that reaches output.  Interned
+    objects are never evicted: each table grows with the number of distinct
+    values a process builds.
+
+    The package has one idiom per kind of class: values are ``Interned``,
+    records are ``typing.NamedTuple``s, and state is a plain class with
+    ``__slots__`` (a ``Frozen`` one when it never changes).  The only
+    dataclass is ``engine.LearnerConfig``, which callers copy with
+    ``dataclasses.replace``.
+    """
+
+    __slots__ = ()
+
+
+def intern(table: dict, key: tuple, cls: type, values: tuple):
+    """The object stored under ``key``, built by ``build`` on first use."""
+    obj = table.get(key)
+    if obj is not None:
+        return obj
+    # setdefault keeps one object when two threads build the same value.
+    return table.setdefault(key, build(cls, values))
+
+
+class AtomicProposition(Interned):
     """One bracketed predicate such as ``[activity~Main]`` or ``[actionType=back]``.
 
     ``=`` demands exact equality of the observed value; ``~`` demands
@@ -26,17 +93,17 @@ class AtomicProposition:
     resulting state.
     """
 
-    key: str
-    op: str
-    value: str
+    __slots__ = ("key", "op", "value")
 
-    def __post_init__(self) -> None:
-        if not self.key:
+    def __new__(cls, key: str, op: str, value: str) -> AtomicProposition:
+        if not key:
             raise ValueError("predicate key must not be empty")
-        if self.op not in ("=", "~"):
-            raise ValueError(f"predicate operator must be '=' or '~', got {self.op!r}")
-        if not self.value:
+        if op not in ("=", "~"):
+            raise ValueError(f"predicate operator must be '=' or '~', got {op!r}")
+        if not value:
             raise ValueError("predicate value must not be empty")
+        values = (key, op, value)
+        return intern(_PREDICATES, values, cls, values)
 
     @property
     def is_action(self) -> bool:
@@ -51,52 +118,8 @@ class AtomicProposition:
         return f"[{self.key}{self.op}{self.value}]"
 
 
-class Interned:
-    """Base class for hash-consed values: immutable, one object per value.
-
-    Formula nodes, verdicts, GUI actions (``model.GuiAction``) and learner
-    decisions (``engine.Decision``) derive from it.  A constructor returns
-    the stored object equal to what it would build (see ``intern``), so
-    ``==`` and ``hash`` are the identity defaults and a lookup never walks
-    the value.  The slots of the class itself are its constructor's
-    arguments, which the repr shows and pickling passes back; values derived
-    from them, computed once, go in the slots of a base class.  Identity
-    hashes differ between processes; nothing iterates a collection keyed by
-    interned objects in an order that reaches output.  Interned objects are
-    never evicted: each table grows with the number of distinct values a
-    process builds.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} objects are immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} objects are immutable")
-
-    def __reduce__(self):
-        # Copies and unpickled objects are rebuilt through the constructor,
-        # so they come back as the canonical object.
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-def intern(table: dict, key: tuple, cls: type, values: tuple):
-    """The object stored under ``key``, built on first use: ``values`` fill
-    the slots of ``cls`` and then those of its bases, in that order."""
-    obj = table.get(key)
-    if obj is not None:
-        return obj
-    obj = object.__new__(cls)
-    names = (name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ()))
-    for name, value in zip(names, values):
-        object.__setattr__(obj, name, value)
-    # setdefault keeps one object when two threads build the same value.
-    return table.setdefault(key, obj)
+# Every predicate ever built, keyed by its fields.
+_PREDICATES: dict[tuple[str, str, str], AtomicProposition] = {}
 
 
 class Formula(Interned):
@@ -136,7 +159,7 @@ class Atom(Formula):
     __slots__ = ("ap",)
 
     def __new__(cls, ap: AtomicProposition) -> Atom:
-        return intern(_NODES, (cls, ap.key, ap.op, ap.value), cls, (ap, 1, frozenset((ap,))))
+        return intern(_NODES, (cls, ap), cls, (ap, 1, frozenset((ap,))))
 
 
 class Not(Formula):
@@ -286,7 +309,9 @@ class Labeling(frozenset):
         return Labeling(frozenset.__or__(self, other))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(a) for a in sorted(self)) + "}"
+        # By fields, not by text: "[a~x]" sorts after "[ab=x]" as text.
+        ordered = sorted(self, key=lambda a: (a.key, a.op, a.value))
+        return "{" + ", ".join(str(a) for a in ordered) + "}"
 
 
 class _Resolved(Interned):

@@ -8,7 +8,9 @@ for states and actions.
 
 Actions are hash-consed like formula nodes (``formula.Interned``): one
 object per distinct action, shared by every model that enables it, and
-compared and hashed by identity.
+compared and hashed by identity.  States and the model are immutable
+``formula.Frozen`` objects: a state compares by identity too, since ids
+repeat across models.  Widgets are named tuples.
 
 The pre-launch don't-care state is implicit: it is never listed in a file,
 and the only actions enabled there are the reinitialize actions derived from
@@ -21,11 +23,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .formula import AtomicProposition, Interned, Labeling, intern
+from .formula import AtomicProposition, Frozen, Interned, Labeling, build, intern
 
 
 class ModelError(Exception):
@@ -41,8 +42,7 @@ DONT_CARE_ID = "∅"
 ActionSig = tuple[str, tuple[str, ...], str]
 
 
-@dataclass(frozen=True)
-class Widget:
+class Widget(NamedTuple):
     object_id: str
     text: str = ""
     bounds: tuple[int, int, int, int] = (0, 0, 1, 1)
@@ -80,14 +80,14 @@ class GuiAction(_Signed):
 _ACTIONS: dict[tuple[str, tuple[str, ...], str, str], GuiAction] = {}
 
 
-@dataclass(frozen=True, eq=False)
-class GuiState:
+class GuiState(Frozen):
     """One screen of a model.  Compared and hashed by identity: ids repeat
     across models, state objects do not."""
 
-    id: str
-    attributes: dict[str, str]
-    widgets: tuple[Widget, ...]
+    __slots__ = ("id", "attributes", "widgets")
+
+    def __new__(cls, id: str, attributes: dict[str, str], widgets: tuple[Widget, ...]) -> GuiState:
+        return build(cls, (id, attributes, widgets))
 
 
 DONT_CARE = GuiState(DONT_CARE_ID, {}, ())
@@ -95,18 +95,23 @@ DONT_CARE = GuiState(DONT_CARE_ID, {}, ())
 Distribution = tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class AppModel:
+class AppModel(Frozen):
     """Validated, immutable model; sessions over it may run in parallel.
 
     ``enabled`` and ``transitions`` also hold the don't-care state, keyed by
     ``DONT_CARE_ID``, though ``states`` does not."""
 
-    screen: tuple[int, int]
-    initial: dict[str, str]
-    states: dict[str, GuiState]
-    enabled: dict[str, tuple[GuiAction, ...]]
-    transitions: dict[tuple[str, ActionSig], Distribution]
+    __slots__ = ("screen", "initial", "states", "enabled", "transitions")
+
+    def __new__(
+        cls,
+        screen: tuple[int, int],
+        initial: dict[str, str],
+        states: dict[str, GuiState],
+        enabled: dict[str, tuple[GuiAction, ...]],
+        transitions: dict[tuple[str, ActionSig], Distribution],
+    ) -> AppModel:
+        return build(cls, (screen, initial, states, enabled, transitions))
 
     def enabled_in(self, state: GuiState) -> tuple[GuiAction, ...]:
         return self.enabled[state.id]

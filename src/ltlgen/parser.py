@@ -11,12 +11,13 @@ Grammar (highest precedence last)::
 
 ``F``, ``G``, ``|``, ``->`` and ``false`` desugar during parsing, so the
 returned tree contains core connectives only.  The tree is not simplified.
+Tokens are named tuples, the package's record idiom (``formula.Interned``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import And, Atom, AtomicProposition, Formula, Not, Next, TRUE, Until
 
@@ -34,8 +35,7 @@ _WORD_RE = re.compile(r"[A-Za-z]+")
 _KEYWORDS = frozenset(("true", "false", "U", "X", "F", "G"))
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     pos: int
     atom: AtomicProposition | None = None

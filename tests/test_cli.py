@@ -397,9 +397,9 @@ def _artifacts_under_hash_seed(hash_seed: str, out_dir) -> dict[str, bytes]:
 
 
 def test_artifacts_identical_across_hash_seeds(tmp_path):
-    # Formula nodes and learner decisions hash by identity and predicates by
-    # string hash; none may leak into the test file, the episode log or the
-    # experiment CSV.
+    # Predicates, formula nodes and learner decisions hash by identity, which
+    # must not leak into the test file, the episode log or the experiment
+    # CSV.
     first = _artifacts_under_hash_seed("0", tmp_path / "seed0")
     second = _artifacts_under_hash_seed("1", tmp_path / "seed1")
     assert sorted(first) == [
@@ -407,6 +407,17 @@ def test_artifacts_identical_across_hash_seeds(tmp_path):
         "needle.stdout", "runs.csv", "test.json",
     ]
     assert first == second
+
+
+def test_cli_import_leaves_statistics_out():
+    # statistics pulls in decimal and fractions; every command would pay for them.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ltlgen.cli; print('statistics' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 # sha256 of every --no-timing artifact of four fixed runs, taken before the
