@@ -192,6 +192,8 @@ class EpisodeLog:
     """One episode's executed steps and how it ended: satisfied, falsified,
     dead_end or exhausted."""
 
+    # A record, but built once per episode: a slotted __init__ costs less
+    # than a named tuple's __new__.
     __slots__ = ("index", "steps", "outcome")
 
     def __init__(self, index: int, steps: list[StepRecord], outcome: str) -> None:

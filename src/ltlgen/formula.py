@@ -5,11 +5,11 @@ next, and until.  Disjunction, implication, finally, globally, and the
 ``false`` literal are parser sugar and never appear in a tree.
 
 Predicates and nodes are hash-consed through ``Interned`` and ``intern``,
-which verdicts, GUI actions and the learner's decisions share.  Its base,
-``Frozen``, also serves the model's states and the model itself.  ``simplify`` gives the
-normal form every obligation is kept in; it treats conjunctions as sets,
-which keeps the obligation of a formula such as ``G F p`` from growing with
-the length of an episode.
+which verdicts, GUI actions and the learner's decisions share; its base,
+``Frozen``, also serves the model's states and the model itself.
+``simplify`` gives the normal form every obligation is kept in; it treats
+conjunctions as sets, which keeps the obligation of a formula such as
+``G F p`` from growing with the length of an episode.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import pytest
 import ltlgen
 from ltlgen import AtomicProposition, EnvSession, Labeling, LearnerConfig, QStore, generate, parse
 from ltlgen import cli, engine, formula, model, parser, progression
-from ltlgen.engine import EpisodeLog, GenerationResult, RunStats
+from ltlgen.engine import EpisodeLog, RunStats
 from ltlgen.model import AppModel, GuiState, Widget
 from ltlgen.parser import _Token
 from conftest import GO_ABOUT_AND_BACK
@@ -109,8 +109,3 @@ def test_labeling_text_sorts_by_fields_not_text():
     labels = Labeling((AtomicProposition("ab", "=", "x"), AtomicProposition("a", "~", "x")))
     assert str(labels) == "{[a~x], [ab=x]}"
 
-
-def test_result_records_are_named_tuples():
-    for record in (RunStats, GenerationResult, Widget, _Token):
-        assert issubclass(record, tuple) and record._fields
-    assert GenerationResult(None, RunStats("exhausted", 0, 0, 0.0, 0), []).satisfied is False
