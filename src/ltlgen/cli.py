@@ -32,65 +32,64 @@ EXIT_EXHAUSTED = 3
 EXIT_MODEL_ERROR = 4
 EXIT_FORMULA_ERROR = 5
 
-_CONFIG_FLAGS = (
-    ("episodes", int, "maximum number of episodes (E)"),
-    ("steps", int, "maximum number of steps per episode (K)"),
-    ("t0", float, "initial softmax temperature"),
-    ("t-delta", float, "temperature decrease per episode"),
-    ("t-min", float, "temperature floor"),
-    ("eps0", float, "initial random-decision probability"),
-    ("eps-update", float, "epsilon decay factor per episode"),
-    ("eps-min", float, "epsilon floor"),
-    ("eta0", float, "initial learning rate"),
-    ("eta-update", float, "learning-rate decay factor per episode"),
-    ("eta-min", float, "learning-rate floor"),
-    ("elig-decay", float, "eligibility trace discount"),
-    ("doubleness", float, "double-Q mixing ratio"),
-    ("vigilance", float, "hard bound on Q-value magnitude"),
-    ("elig-min", float, "eligibility threshold below which entries drop"),
-    ("tail-length", int, "maximum recent-history length used as the RL state"),
-)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True, help="model file (JSON)")
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--formula", help="formula text")
-    group.add_argument("--formula-file", help="file containing the formula text")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-
-
-def _add_engine(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=tuple(ENGINES), default="farlead",
-        help="learning engine or the uniform-random baseline",
-    )
-    for flag, kind, help_text in _CONFIG_FLAGS:
-        parser.add_argument(f"--{flag}", type=kind, default=None, help=help_text)
-    parser.add_argument(
-        "--no-reward-shaping", action="store_true",
-        help="disable intermediate rewards (terminal 1/-1 only)",
-    )
-    parser.add_argument(
-        "--no-prediction", action="store_true",
-        help="disable pre-execution action screening",
-    )
-    parser.add_argument(
-        "--no-timing", action="store_true",
-        help="report wall times as 0 for byte-reproducible output",
-    )
+# Each knob's flag is its LearnerConfig field, with its type and default;
+# only the help text is kept here.
+_KNOB_HELP = {
+    "episodes": "maximum number of episodes (E)",
+    "steps": "maximum number of steps per episode (K)",
+    "t0": "initial softmax temperature",
+    "t_delta": "temperature decrease per episode",
+    "t_min": "temperature floor",
+    "eps0": "initial random-decision probability",
+    "eps_update": "epsilon decay factor per episode",
+    "eps_min": "epsilon floor",
+    "eta0": "initial learning rate",
+    "eta_update": "learning-rate decay factor per episode",
+    "eta_min": "learning-rate floor",
+    "elig_decay": "eligibility trace discount",
+    "doubleness": "double-Q mixing ratio",
+    "vigilance": "hard bound on Q-value magnitude",
+    "elig_min": "eligibility threshold below which entries drop",
+    "tail_length": "maximum recent-history length used as the RL state",
+}
+_KNOBS = tuple(knob for knob in dataclasses.fields(LearnerConfig) if knob.name in _KNOB_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The flag groups the subcommands share, built once and taken as parents.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--model", required=True, help="model file (JSON)")
+    group = inputs.add_mutually_exclusive_group(required=True)
+    group.add_argument("--formula", help="formula text")
+    group.add_argument("--formula-file", help="file containing the formula text")
+    inputs.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument(
+        "--engine", choices=tuple(ENGINES), default="farlead",
+        help="learning engine or the uniform-random baseline",
+    )
+    for knob in _KNOBS:
+        search.add_argument(
+            "--" + knob.name.replace("_", "-"), type=type(knob.default), default=knob.default,
+            help=_KNOB_HELP[knob.name],
+        )
+    for flag, help_text in (
+        ("--no-reward-shaping", "disable intermediate rewards (terminal 1/-1 only)"),
+        ("--no-prediction", "disable pre-execution action screening"),
+        ("--no-timing", "report wall times as 0 for byte-reproducible output"),
+    ):
+        search.add_argument(flag, action="store_true", help=help_text)
+
     parser = argparse.ArgumentParser(
         prog="ltlgen",
         description="Generate, replay, and benchmark GUI tests against temporal-logic specs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_generate = sub.add_parser("generate", help="search for a satisfying test")
-    _add_common(p_generate)
-    _add_engine(p_generate)
+    p_generate = sub.add_parser(
+        "generate", parents=[inputs, search], help="search for a satisfying test"
+    )
     p_generate.add_argument(
         "-o", "--output", default="test.json", help="replayable test file written on success"
     )
@@ -98,17 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--verbose", action="store_true", help="print episode records to stdout")
     p_generate.set_defaults(func=cmd_generate)
 
-    p_replay = sub.add_parser("replay", help="re-execute a test file and check the formula")
-    _add_common(p_replay)
+    p_replay = sub.add_parser(
+        "replay", parents=[inputs], help="re-execute a test file and check the formula"
+    )
     p_replay.add_argument("--test", required=True, help="replayable test file")
     p_replay.add_argument(
         "--times", type=int, default=1, help="repetitions for the reliability check (default 1)"
     )
     p_replay.set_defaults(func=cmd_replay)
 
-    p_experiment = sub.add_parser("experiment", help="run seeded repetitions and emit a CSV")
-    _add_common(p_experiment)
-    _add_engine(p_experiment)
+    p_experiment = sub.add_parser(
+        "experiment", parents=[inputs, search], help="run seeded repetitions and emit a CSV"
+    )
     p_experiment.add_argument("--reps", type=int, default=1, help="number of repetitions")
     p_experiment.add_argument("--csv", default="experiment.csv", help="per-run CSV output path")
     p_experiment.set_defaults(func=cmd_experiment)
@@ -117,20 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> LearnerConfig:
-    overrides = {}
-    for flag, _, _ in _CONFIG_FLAGS:
-        name = flag.replace("-", "_")
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
     # Not validated here: every engine validates its config before a run.
-    return dataclasses.replace(
-        LearnerConfig(),
+    return LearnerConfig(
         seed=args.seed,
         shaping=not args.no_reward_shaping,
         predict=not args.no_prediction,
-        **overrides,
+        **{knob.name: getattr(args, knob.name) for knob in _KNOBS},
     )
+
+
+def _run_stats(args: argparse.Namespace, result: GenerationResult) -> RunStats:
+    """A run's stats as reported: ``--no-timing`` zeroes the wall time."""
+    return result.stats._replace(wall_time_ms=0.0) if args.no_timing else result.stats
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[AppModel, Formula]:
@@ -168,11 +166,10 @@ def _emit_logs(args: argparse.Namespace, result: GenerationResult) -> None:
             print(line)
 
 
-def _stats_line(stats: RunStats, no_timing: bool) -> str:
-    wall = 0.0 if no_timing else stats.wall_time_ms
+def _stats_line(stats: RunStats) -> str:
     return (
         f"outcome={stats.outcome} episodes={stats.episodes} steps={stats.steps} "
-        f"wallTimeMs={wall:.3f} seed={stats.seed}"
+        f"wallTimeMs={stats.wall_time_ms:.3f} seed={stats.seed}"
     )
 
 
@@ -181,7 +178,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     result = ENGINES[args.engine](model, phi, config)
     _emit_logs(args, result)
-    print(_stats_line(result.stats, args.no_timing))
+    print(_stats_line(_run_stats(args, result)))
     if not result.satisfied:
         return EXIT_EXHAUSTED
     save_test(args.output, result.test)
@@ -214,18 +211,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     rows: list[RunStats] = []
     for rep in range(args.reps):
         config = dataclasses.replace(base_config, seed=args.seed + rep)
-        rows.append(engine(model, phi, config).stats)
+        rows.append(_run_stats(args, engine(model, phi, config)))
     with open(args.csv, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["rep", "seed", "outcome", "episodes", "steps", "wallTimeMs"])
         for rep, stats in enumerate(rows):
-            wall = 0.0 if args.no_timing else stats.wall_time_ms
-            writer.writerow(
-                [rep, stats.seed, stats.outcome, stats.episodes, stats.steps, f"{wall:.3f}"]
-            )
+            writer.writerow([
+                rep, stats.seed, stats.outcome, stats.episodes, stats.steps,
+                f"{stats.wall_time_ms:.3f}",
+            ])
     failures = sum(1 for s in rows if s.outcome != "satisfied")
     steps = [s.steps for s in rows]
-    walls = [0.0 if args.no_timing else s.wall_time_ms for s in rows]
+    walls = [s.wall_time_ms for s in rows]
     # statistics.fmean's own arithmetic, without importing statistics, which
     # pulls decimal and fractions into every command.
     print(

@@ -16,11 +16,11 @@ the dead end.
 
 Every table a step reads is a cached pure function of its arguments, kept
 for the life of the process: projection, the screening of an obligation
-over a state's enabled actions, the learner's candidates at a tail (its
-decisions over the surviving actions and the action each one stands for),
-and the labeling of a step by its action and resulting state object.  The
-normal form of each input formula, which every run of it starts from, is
-cached the same way.
+over a state's enabled actions, the learner's candidates at a tail (the
+surviving actions, each paired with its decision), the decisions of those
+pairs with the action each one stands for, and the labeling of a step by
+its action and resulting state object.  The normal form of each input
+formula, which every run of it starts from, is cached the same way.
 
 A step builds only tuples: ``StepRecord`` and ``Prediction`` are named
 tuples, so a step record compares equal to the plain tuple of its values,
@@ -311,13 +311,12 @@ def _screen(
 
 
 @functools.cache
-def _candidates(tail: Tail, actions: tuple[GuiAction, ...]) -> tuple[
-    tuple[tuple[Decision, GuiAction], ...], tuple[Decision, ...], Mapping[Decision, GuiAction]
-]:
-    """The learner's choices among actions at a tail, as (the (decision,
-    action) pairs, the decisions, each decision's action)."""
-    pairs = tuple([(Decision(tail, a.signature), a) for a in actions])
-    return (pairs, *_choices(pairs))
+def _candidates(
+    tail: Tail, actions: tuple[GuiAction, ...]
+) -> tuple[tuple[Decision, GuiAction], ...]:
+    """The learner's choices among actions at a tail, as (decision, action)
+    pairs; ``_choices`` holds their decisions and each decision's action."""
+    return tuple([(Decision(tail, a.signature), a) for a in actions])
 
 
 @functools.cache
@@ -357,7 +356,7 @@ def prune_and_predict(
     surviving actions still face the full projection after execution.
     """
     kind, action, survivors = _screen(phi, tuple(enabled), alphabet)
-    return Prediction(kind, action, _candidates(tail, survivors)[0])
+    return Prediction(kind, action, _candidates(tail, survivors))
 
 
 def learn(
@@ -473,7 +472,7 @@ def run_episode(
             if config.predict:
                 prediction = prune_and_predict(phi, tail, enabled, alphabet)
             else:
-                prediction = Prediction(CONTINUE, survivors=_candidates(tail, tuple(enabled))[0])
+                prediction = Prediction(CONTINUE, survivors=_candidates(tail, tuple(enabled)))
             if prediction.kind == DEAD_END:
                 # Its labels are already stored and its tail seen, so learn needs no labels.
                 if previous is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,16 +14,23 @@ from ltlgen.cli import (
     EXIT_MODEL_ERROR,
     EXIT_OK,
     EXIT_USAGE,
-    _CONFIG_FLAGS,
+    _config_from_args,
+    build_parser,
     main,
 )
+from ltlgen.engine import LearnerConfig
 from conftest import GO_ABOUT_AND_BACK, MODELS, NEEDLE_B
 
 CHESSWALK = str(MODELS / "chesswalk_abstract.json")
 FLAKY = str(MODELS / "flaky.json")
 NEEDLE = str(MODELS / "needle.json")
 SRC = MODELS.parent / "src"
-FLOAT_FLAGS = [flag for flag, kind, _ in _CONFIG_FLAGS if kind is float]
+# Every LearnerConfig field but these three is a knob flag of the same name.
+KNOBS = [
+    knob for knob in dataclasses.fields(LearnerConfig)
+    if knob.name not in ("seed", "shaping", "predict")
+]
+FLOAT_FLAGS = [knob.name.replace("_", "-") for knob in KNOBS if type(knob.default) is float]
 
 
 def run(*argv):
@@ -267,6 +275,44 @@ def test_experiment_rejects_generate_only_flags(tmp_path, capsys):
         assert info.value.code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_each_knob_flag_sets_its_field_alone(command):
+    parser = build_parser()
+    for knob in KNOBS:
+        value = knob.default + 1
+        args = parser.parse_args([
+            command, "--model", CHESSWALK, "--formula", "true",
+            f"--{knob.name.replace('_', '-')}", str(value),
+        ])
+        config = _config_from_args(args)
+        assert config == dataclasses.replace(LearnerConfig(), **{knob.name: value})
+        assert type(getattr(config, knob.name)) is type(knob.default)
+
+
+INPUT_FLAGS = {"-h", "--help", "--model", "--formula", "--formula-file", "--seed"}
+SEARCH_FLAGS = {
+    "--engine", "--episodes", "--steps", "--t0", "--t-delta", "--t-min", "--eps0",
+    "--eps-update", "--eps-min", "--eta0", "--eta-update", "--eta-min", "--elig-decay",
+    "--doubleness", "--vigilance", "--elig-min", "--tail-length",
+    "--no-reward-shaping", "--no-prediction", "--no-timing",
+}
+
+
+def test_each_subcommand_accepts_its_flags():
+    # Sets of option strings, not help text, which argparse formats
+    # differently across Python versions.
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    accepted = {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        for name, sub in commands.items()
+    }
+    assert accepted == {
+        "generate": INPUT_FLAGS | SEARCH_FLAGS | {"-o", "--output", "--log", "--verbose"},
+        "replay": INPUT_FLAGS | {"--test", "--times"},
+        "experiment": INPUT_FLAGS | SEARCH_FLAGS | {"--reps", "--csv"},
+    }
 
 
 def test_exit_codes_are_distinct():

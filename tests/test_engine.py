@@ -346,7 +346,8 @@ TAIL = ((BACK.signature, "main"),)
 
 def test_candidates_pair_each_action_with_its_decision():
     actions = (CLICK, BACK, PAUSE)
-    pairs, decisions, by_decision = engine._candidates(TAIL, actions)
+    pairs = engine._candidates(TAIL, actions)
+    decisions, by_decision = engine._choices(pairs)
     expected = [(Decision(TAIL, a.signature), a) for a in actions]
     assert len(pairs) == len(expected)
     for (decision, action), (want_decision, want_action) in zip(pairs, expected):
@@ -383,7 +384,8 @@ def test_actions_of_one_signature_make_one_decision_for_the_later_action():
     twin = GuiAction(CLICK.action_type, CLICK.params, CLICK.target, "Stop")
     assert twin is not CLICK and twin.signature == CLICK.signature
     enabled = (CLICK, BACK, twin)
-    pairs, decisions, by_decision = engine._candidates(TAIL, enabled)
+    pairs = engine._candidates(TAIL, enabled)
+    decisions, by_decision = engine._choices(pairs)
     assert len(pairs) == 3
     # As dict(pairs) keeps them: one decision per signature, mapped to its last action.
     assert by_decision == dict(pairs)
