@@ -139,7 +139,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[AppModel, Formula]:
         try:
             text = Path(args.formula_file).read_text(encoding="utf-8").strip()
         except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read formula file: {exc}", 0) from exc
+            raise ParseError(f"cannot read formula file: {exc}") from exc
     return model, parse(text)
 
 

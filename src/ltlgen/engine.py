@@ -16,18 +16,18 @@ the dead end.
 
 Every table a step reads is a cached pure function of its arguments, kept
 for the life of the process: projection, the screening of an obligation
-over a state's enabled actions, the learner's candidates at a tail (the
-surviving actions, each paired with its decision), the decisions of those
-pairs with the action each one stands for, and the labeling of a step by
-its action and resulting state object.  The normal form of each input
-formula, which every run of it starts from, is cached the same way.
+over a state's enabled actions, the learner's candidates at a tail (a map
+from each surviving action's decision to that action, whose items a
+prediction carries), and the labeling of a step by its action and
+resulting state object.  The normal form of each input formula, which
+every run of it starts from, is cached the same way.
 
 A step builds only tuples: ``StepRecord`` and ``Prediction`` are named
 tuples, so a step record compares equal to the plain tuple of its values,
 and a verdict carries its resolved flags from when it was built.  The
 learner's step builds no dict either, and no decision except the one for
 an action that satisfies the obligation outright: it reads them from the
-candidate tables.  Its only lists are the policy's, for a choice among two
+candidate table.  Its only lists are the policy's, for a choice among two
 or more candidates; a lone candidate is taken without the softmax, at the
 cost of the one random draw every choice makes.  ``learn`` clamps each
 update to the vigilance bound with comparisons, not ``min``/``max`` calls.
@@ -49,9 +49,8 @@ import functools
 import math
 import random
 import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Collection, ItemsView, Sequence
 from dataclasses import dataclass, fields
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .formula import (
@@ -225,7 +224,7 @@ class GenerationResult(NamedTuple):
 
 
 def policy_probabilities(
-    store: QStore, candidates: Sequence[Decision], temperature: float, epsilon: float
+    store: QStore, candidates: Collection[Decision], temperature: float, epsilon: float
 ) -> list[float]:
     """Softmax over summed Q-values mixed with an epsilon-uniform floor."""
     q1, q2, exp = store.q1.get, store.q2.get, math.exp
@@ -242,7 +241,7 @@ def policy_probabilities(
 
 def decide_next_action(
     store: QStore,
-    candidates: Sequence[Decision],
+    candidates: Collection[Decision],
     temperature: float,
     epsilon: float,
     rng: random.Random,
@@ -256,7 +255,8 @@ def decide_next_action(
         raise ValueError("no candidate decisions to choose from")
     if len(candidates) == 1:
         rng.random()
-        return candidates[0]
+        (decision,) = candidates
+        return decision
     probabilities = policy_probabilities(store, candidates, temperature, epsilon)
     roll = rng.random()
     acc = 0.0
@@ -264,7 +264,8 @@ def decide_next_action(
         acc += probability
         if roll < acc:
             return decision
-    return candidates[-1]
+    # Rounding left the roll above the last sum: the last candidate takes it.
+    return decision
 
 
 SATISFIED = "satisfied"
@@ -273,11 +274,12 @@ CONTINUE = "continue"
 
 
 class Prediction(NamedTuple):
-    """Outcome of pre-execution action screening."""
+    """Outcome of pre-execution action screening; a CONTINUE prediction's
+    ``survivors`` are the (decision, action) items of ``_candidates``' map."""
 
     kind: str
     action: GuiAction | None = None
-    survivors: tuple[tuple[Decision, GuiAction], ...] = ()
+    survivors: ItemsView[Decision, GuiAction] | tuple[()] = ()
 
 
 # The caches below, like projection's, are never evicted.  The labeling
@@ -311,24 +313,13 @@ def _screen(
 
 
 @functools.cache
-def _candidates(
-    tail: Tail, actions: tuple[GuiAction, ...]
-) -> tuple[tuple[Decision, GuiAction], ...]:
-    """The learner's choices among actions at a tail, as (decision, action)
-    pairs; ``_choices`` holds their decisions and each decision's action."""
-    return tuple([(Decision(tail, a.signature), a) for a in actions])
-
-
-@functools.cache
-def _choices(
-    pairs: tuple[tuple[Decision, GuiAction], ...],
-) -> tuple[tuple[Decision, ...], Mapping[Decision, GuiAction]]:
-    """The decisions of (decision, action) pairs and each one's action.
+def _candidates(tail: Tail, actions: tuple[GuiAction, ...]) -> ItemsView[Decision, GuiAction]:
+    """The learner's choices among actions at a tail: the (decision, action)
+    items of a map from each decision to its action, in action order.
     Actions of one signature make one decision, which maps to the last of
-    them.  ``run_episode`` reaches a prediction's choices through its pairs.
-    The map is read-only: every caller shares it."""
-    by_decision = dict(pairs)
-    return tuple(by_decision), MappingProxyType(by_decision)
+    them.  Every caller shares the map, so it is reached only through the
+    view's read-only ``.mapping``."""
+    return {Decision(tail, a.signature): a for a in actions}.items()
 
 
 @functools.cache
@@ -356,7 +347,7 @@ def prune_and_predict(
     surviving actions still face the full projection after execution.
     """
     kind, action, survivors = _screen(phi, tuple(enabled), alphabet)
-    return Prediction(kind, action, _candidates(tail, survivors))
+    return Prediction(kind, action, _candidates(tail, survivors) if survivors else ())
 
 
 def learn(
@@ -452,7 +443,7 @@ def run_episode(
         epsilon = config.eps0
     if eta is None:
         eta = config.eta0
-    if policy_rng is None or swap_rng is None:
+    if pick is None and (policy_rng is None or swap_rng is None):
         master = random.Random(config.seed)
         policy_rng = policy_rng or random.Random(master.getrandbits(64))
         swap_rng = swap_rng or random.Random(master.getrandbits(64))
@@ -485,8 +476,10 @@ def run_episode(
                 action = prediction.action
                 decision = Decision(tail, action.signature)
             else:
-                decisions, by_decision = _choices(prediction.survivors)
-                decision = decide_next_action(store, decisions, temperature, epsilon, policy_rng)
+                by_decision = prediction.survivors.mapping
+                decision = decide_next_action(
+                    store, by_decision.keys(), temperature, epsilon, policy_rng
+                )
                 action = by_decision[decision]
         state = session.execute(action)
         action_labels, labels = _step_labels(action, state, alphabet)

@@ -89,8 +89,8 @@ class AtomicProposition(Interned):
 
     ``=`` demands exact equality of the observed value; ``~`` demands
     case-sensitive substring containment.  Predicates whose key starts with
-    ``action`` describe the action being executed; all others describe the
-    resulting state.
+    ``action`` describe the action being executed, by one of ``_ACTION_KEYS``;
+    all others describe the resulting state.
     """
 
     __slots__ = ("key", "op", "value")
@@ -102,6 +102,8 @@ class AtomicProposition(Interned):
             raise ValueError(f"predicate operator must be '=' or '~', got {op!r}")
         if not value:
             raise ValueError("predicate value must not be empty")
+        if key.startswith("action") and key not in _ACTION_KEYS:
+            raise ValueError(f"action key must be one of {', '.join(_ACTION_KEYS)}, got {key!r}")
         values = (key, op, value)
         return intern(_PREDICATES, values, cls, values)
 
@@ -118,6 +120,8 @@ class AtomicProposition(Interned):
         return f"[{self.key}{self.op}{self.value}]"
 
 
+# The keys model.action_labeling reads from an action.
+_ACTION_KEYS = ("actionType", "actionDetail", "actionObjectID")
 # Every predicate ever built, keyed by its fields.
 _PREDICATES: dict[tuple[str, str, str], AtomicProposition] = {}
 

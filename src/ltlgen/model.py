@@ -392,10 +392,8 @@ def action_labeling(action: GuiAction, alphabet: Iterable[AtomicProposition]) ->
             hit = ap.matches(action.action_type)
         elif ap.key == "actionDetail":
             hit = ap.matches(action.detail)
-        elif ap.key == "actionObjectID":
+        else:  # actionObjectID, the one action key left
             hit = bool(action.target) and ap.matches(action.target)
-        else:
-            hit = False
         if hit:
             matched.add(ap)
     return Labeling(frozenset(matched))

@@ -23,10 +23,10 @@ from .formula import And, Atom, AtomicProposition, Formula, Not, Next, TRUE, Unt
 
 
 class ParseError(ValueError):
-    """Formula text rejected; ``position`` is a 0-based character offset."""
+    """Formula text rejected; ``position`` is a 0-based character offset, or None."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 
@@ -52,7 +52,10 @@ def _predicate(body: str, pos: int) -> AtomicProposition:
         raise ParseError(f"bad predicate key {key!r}", pos)
     if not value:
         raise ParseError("empty predicate value", pos)
-    return AtomicProposition(key, body[split], value)
+    try:
+        return AtomicProposition(key, body[split], value)
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
 
 
 def _tokenize(text: str) -> list[_Token]:

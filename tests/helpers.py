@@ -1,5 +1,6 @@
 """Shared builders for the test suite: predicates, labelings, formula
-generators, and the reference learner update and policy."""
+generators, the reference learner update and policy, and an exact oracle
+for the shortest test."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import random
 from ltlgen import (
     And,
     AtomicProposition,
+    DONT_CARE,
     FALSE,
     Formula,
     Labeling,
@@ -16,6 +18,11 @@ from ltlgen import (
     Not,
     TRUE,
     Until,
+    action_labeling,
+    atom_set,
+    projection,
+    simplify,
+    state_labeling,
 )
 
 P = AtomicProposition("p", "=", "1")
@@ -101,6 +108,34 @@ def has_redex(phi: Formula) -> bool:
         children = (phi.operand,) if isinstance(phi, Next) else (phi.left, phi.right)
         return any(has_redex(child) for child in children)
     return False
+
+
+def shortest_test(model, phi: Formula, steps: int) -> int | None:
+    """The fewest steps of any action sequence from the don't-care state
+    whose trace satisfies ``phi``, over every successor a transition can
+    reach (the loader admits only positive weights), or None if no sequence of at most ``steps`` steps does.
+
+    A breadth-first walk over (state, obligation) pairs: the product of the
+    model with the formula's progression.  A pair whose obligation is false
+    has no successors."""
+    phi = simplify(phi)
+    alphabet = atom_set(phi)
+    frontier = {(DONT_CARE, phi)}
+    for depth in range(1, steps + 1):
+        reached = set()
+        for state, obligation in frontier:
+            for action in model.enabled_in(state):
+                action_labels = action_labeling(action, alphabet)
+                for target, _ in model.transition(state, action):
+                    successor = model.states[target]
+                    labels = action_labels | state_labeling(successor, alphabet)
+                    verdict = projection(obligation, labels)
+                    if verdict.is_true:
+                        return depth
+                    if not verdict.is_false:
+                        reached.add((successor, verdict.formula))
+        frontier = reached
+    return None
 
 
 class FixedRoll:

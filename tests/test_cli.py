@@ -75,6 +75,20 @@ def test_malformed_formula_exit(tmp_path, capsys):
     assert "formula error" in capsys.readouterr().err
 
 
+def test_misspelled_action_key_exit(tmp_path, capsys):
+    # No action has the key, so the predicate could never hold.
+    code = run(
+        "generate", "--model", CHESSWALK, "--formula", "F ![actionTyp=click]",
+        "-o", str(tmp_path / "t.json"),
+    )
+    assert code == EXIT_FORMULA_ERROR
+    assert not (tmp_path / "t.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("formula error: action key must be one of ")
+    assert "got 'actionTyp' (at position 3)" in err
+    assert err.count("\n") == 1
+
+
 def test_model_error_exit(tmp_path, capsys):
     code = run(
         "generate", "--model", str(tmp_path / "absent.json"),
@@ -182,10 +196,13 @@ def test_undecodable_input_file_exit(flag, expected_code, prefix, tmp_path, caps
     inputs = {"--model": CHESSWALK, "--test": str(empty_test), "--formula": "true"}
     if flag == "--formula-file":
         del inputs["--formula"]
-    inputs[flag] = str(bad)
-    assert run("replay", *(part for item in inputs.items() for part in item)) == expected_code
-    err = capsys.readouterr().err
-    assert err.startswith(prefix) and err.count("\n") == 1
+    # An unreadable file has no text, so no message names a position in it.
+    for path in (bad, tmp_path / "missing"):
+        inputs[flag] = str(path)
+        assert run("replay", *(part for item in inputs.items() for part in item)) == expected_code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "(at position" not in err
 
 
 def _deep_json(path):

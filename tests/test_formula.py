@@ -106,7 +106,7 @@ def test_structural_equality_after_simplify():
 
 @pytest.mark.parametrize(
     "key,op,value",
-    [("", "=", "v"), ("k", "?", "v"), ("k", "=", "")],
+    [("", "=", "v"), ("k", "?", "v"), ("k", "=", ""), ("actionTyp", "=", "click")],
 )
 def test_atomic_proposition_validation(key, op, value):
     with pytest.raises(ValueError):

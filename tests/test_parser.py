@@ -106,6 +106,14 @@ def test_rejects_malformed_text(text):
         parse(text)
 
 
+@pytest.mark.parametrize("text", ["[actionTyp=click]", "X [action=back]", "true & [actionobjectID=0:1]"])
+def test_rejects_an_action_key_no_action_has(text):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.position == text.index("[")
+    assert "action key must be one of actionType, actionDetail, actionObjectID" in str(info.value)
+
+
 def test_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse("[p=1] ? [q=1]")

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ltlgen import (
@@ -22,6 +23,7 @@ from ltlgen import (
     decide_next_action,
     learn,
     model_from_dict,
+    parse,
     policy_probabilities,
     replay,
     run_episode,
@@ -30,7 +32,13 @@ from ltlgen import (
 )
 from ltlgen.engine import ENGINES
 from ltlgen.progression import evaluate
-from helpers import reference_decide_next_action, reference_learn, reference_policy_probabilities
+from conftest import GO_ABOUT_AND_BACK, NEEDLE_A, NEEDLE_B, NEEDLE_C
+from helpers import (
+    reference_decide_next_action,
+    reference_learn,
+    reference_policy_probabilities,
+    shortest_test,
+)
 
 ACTIVITIES = ("MainActivity", "AboutActivity", "SettingsActivity")
 TEXTS = ("Go", "About", "Off")
@@ -205,6 +213,32 @@ def test_generated_tests_replay_and_satisfy_the_formula(model, phi, seed, engine
     assert evaluate([record.labels for record in log.steps], 0, phi)
 
 
+@settings(max_examples=60, deadline=None)
+@given(models(stochastic=True), formulas, st.integers(0, 2**32 - 1), st.sampled_from(sorted(ENGINES)))
+def test_no_engine_finds_a_test_shorter_than_the_shortest(model, phi, seed, engine):
+    config = LearnerConfig(episodes=30, steps=5, seed=seed)
+    result = ENGINES[engine](model, phi, config)
+    shortest = shortest_test(model, phi, config.steps)
+    if shortest is None:
+        assert result.test is None
+    elif result.test is not None:
+        assert shortest <= len(result.test) <= config.steps
+
+
+@pytest.mark.parametrize("model_name, formula, shortest", [
+    ("needle", NEEDLE_A, 4),
+    ("needle", NEEDLE_B, 4),
+    ("needle", NEEDLE_C, 4),
+    ("chesswalk", GO_ABOUT_AND_BACK, 3),
+])
+def test_shortest_tests_of_the_benchmark_formulas(model_name, formula, shortest, request):
+    model = request.getfixturevalue(model_name)
+    steps = LearnerConfig().steps
+    assert shortest_test(model, parse(formula), steps) == shortest
+    # One step fewer leaves no test at all.
+    assert shortest_test(model, parse(formula), shortest - 1) is None
+
+
 SIGNATURES = [("back", (), ""), ("swipe", (), ""), ("click", ("5", "5"), "0:0")]
 tails = st.lists(
     st.tuples(st.sampled_from(SIGNATURES), st.sampled_from(("s0", "s1"))), max_size=2
@@ -270,12 +304,19 @@ def policy_inputs(draw):
 @given(policy_inputs(), st.floats(0.01, 10.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
 def test_policy_equals_the_reference_policy(inputs, temperature, epsilon, seed):
     store, candidates = inputs
-    assert policy_probabilities(store, candidates, temperature, epsilon) == (
-        reference_policy_probabilities(store, candidates, temperature, epsilon)
-    )
-    rng, reference_rng = random.Random(seed), random.Random(seed)
-    chosen = decide_next_action(store, candidates, temperature, epsilon, rng)
-    expected = reference_decide_next_action(store, candidates, temperature, epsilon, reference_rng)
-    assert chosen is expected
-    # One draw per call, also for a lone candidate.
-    assert rng.getstate() == reference_rng.getstate()
+    forms = [candidates]
+    if len(set(candidates)) == len(candidates):
+        # A run passes the keys of its candidate map, which hold distinct decisions.
+        forms.append(dict.fromkeys(candidates).keys())
+    for collection in forms:
+        assert policy_probabilities(store, collection, temperature, epsilon) == (
+            reference_policy_probabilities(store, candidates, temperature, epsilon)
+        )
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        chosen = decide_next_action(store, collection, temperature, epsilon, rng)
+        expected = reference_decide_next_action(
+            store, candidates, temperature, epsilon, reference_rng
+        )
+        assert chosen is expected
+        # One draw per call, also for a lone candidate.
+        assert rng.getstate() == reference_rng.getstate()
