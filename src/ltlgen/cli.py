@@ -140,7 +140,13 @@ def _load_inputs(args: argparse.Namespace) -> tuple[AppModel, Formula]:
             text = Path(args.formula_file).read_text(encoding="utf-8").strip()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read formula file: {exc}") from exc
-    return model, parse(text)
+    phi = parse(text)
+    # A state key no state has would never hold, so a typo would pass unseen.
+    keys = {"text", "objectID", "checked"}.union(*(s.attributes for s in model.states.values()))
+    unknown = sorted({ap.key for ap in phi.alphabet if not ap.is_action} - keys)
+    if unknown:
+        raise ParseError(f"no state of the model has the key {unknown[0]!r}")
+    return model, phi
 
 
 def _episode_lines(log: EpisodeLog) -> list[str]:

@@ -174,7 +174,7 @@ class QStore:
         self.qa2: dict[Labeling, float] = {}
         self.elig: dict[Decision, float] = {}
         self.seen_tails: set[Tail] = set()
-        self.action_labels: dict[ActionSig, Labeling] = {}
+        self.action_labels: dict[Decision, Labeling] = {}
 
 
 class StepRecord(NamedTuple):
@@ -365,11 +365,17 @@ def learn(
     stateless table for its action labeling.  The stateless tables learn in
     step with the per-decision tables and share the vigilance clamp, and the
     table pairs swap together half of the time.
+
+    ``store.action_labels`` keeps the action labeling first seen for each
+    decision.  With a tail length of 1 or more, a decision's tail ends in
+    the state it was made in, so it names one action; with
+    ``--tail-length 0`` a decision still stands for every action of its
+    signature, and they share the first one's labeling.
     """
     labels_of = store.action_labels
     if action_labels is None:
-        action_labels = labels_of.get(decision.action, Labeling())
-    labels_of.setdefault(decision.action, action_labels)
+        action_labels = labels_of.get(decision, Labeling())
+    labels_of.setdefault(decision, action_labels)
     q1, q2, qa1, qa2, elig = store.q1, store.q2, store.qa1, store.qa2, store.elig
     if decision.tail not in store.seen_tails:
         store.seen_tails.add(decision.tail)
@@ -383,7 +389,7 @@ def learn(
     decay = config.elig_decay
     elig_min = config.elig_min
     for eligible, trace_value in list(elig.items()):
-        labels = labels_of[eligible.action]
+        labels = labels_of[eligible]
         step = eta * delta * trace_value
         # Cheaper than min/max calls, and the same float for every value, NaN too, as low < bound.
         value = qa1.get(labels, 0.0) + step

@@ -7,12 +7,16 @@ next, and until.  Disjunction, implication, finally, globally, and the
 Predicates and nodes are hash-consed through ``Interned`` and ``intern``,
 which verdicts, GUI actions and the learner's decisions share; its base,
 ``Frozen``, also serves the model's states and the model itself.
-``simplify`` gives the normal form every obligation is kept in; it treats
-conjunctions as sets, which keeps the obligation of a formula such as
-``G F p`` from growing with the length of an episode.
+A conjunction is one flat node over all its conjuncts, so its length adds
+no nesting.  ``simplify`` gives the normal form every obligation is kept
+in; it treats each conjunction as the set of its conjuncts, which keeps the
+obligation of a formula such as ``G F p`` from growing with the length of
+an episode.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 
 class Frozen:
@@ -137,19 +141,19 @@ class Formula(Interned):
     __slots__ = ("atom_count", "alphabet")
 
 
-# Every node ever built, keyed by its class and its fields.  Children are
-# canonical nodes, so keys hash and compare by identity.
+# Every node but a conjunction (see ``_CONJUNCTIONS``) ever built, keyed by
+# its class and its fields.  Children are canonical nodes, so keys hash and
+# compare by identity.
 _NODES: dict[tuple, Formula] = {}
 
 
-def _union(left: frozenset, right: frozenset) -> frozenset:
+def _union(*alphabets: frozenset) -> frozenset:
     # Reusing a child's set when it already is the union keeps large node
     # tables about 15% smaller than building a new set per node.
-    if right <= left:
-        return left
-    if left <= right:
-        return right
-    return left | right
+    widest = max(alphabets, key=len)
+    if all(alphabet <= widest for alphabet in alphabets):
+        return widest
+    return widest.union(*alphabets)
 
 
 class Truth(Formula):
@@ -174,12 +178,36 @@ class Not(Formula):
 
 
 class And(Formula):
-    __slots__ = ("left", "right")
+    """A conjunction, kept as the tuple of its conjuncts, which ``simplify``
+    reads as a set.
 
-    def __new__(cls, left: Formula, right: Formula) -> And:
-        count = left.atom_count + right.atom_count
-        alphabet = _union(left.alphabet, right.alphabet)
-        return intern(_NODES, (cls, left, right), cls, (left, right, count, alphabet))
+    An operand that is itself a conjunction contributes its conjuncts, in
+    order, so ``conjuncts`` never holds an ``And`` and association does not
+    matter: ``And(a, And(b, c))`` is ``And(And(a, b), c)`` is ``And(a, b, c)``.
+    """
+
+    __slots__ = ("conjuncts",)
+
+    def __new__(cls, *operands: Formula) -> And:
+        conjuncts: list[Formula] = []
+        for operand in operands:
+            conjuncts += operand.conjuncts if isinstance(operand, And) else (operand,)
+        key = tuple(conjuncts)
+        if len(key) < 2:
+            raise ValueError("a conjunction needs at least two conjuncts")
+        node = _CONJUNCTIONS.get(key)
+        if node is None:
+            alphabet = _union(*[conjunct.alphabet for conjunct in key])
+            node = intern(_CONJUNCTIONS, key, cls, (key, sum(c.atom_count for c in key), alphabet))
+        return node
+
+    def __reduce__(self):
+        return And, self.conjuncts
+
+
+# Every conjunction ever built, keyed by its conjuncts, which its node keeps
+# as the same tuple.
+_CONJUNCTIONS: dict[tuple[Formula, ...], And] = {}
 
 
 class Next(Formula):
@@ -212,22 +240,12 @@ def atom_set(phi: Formula) -> frozenset[AtomicProposition]:
     return phi.alphabet
 
 
-def _conjuncts(phi: Formula) -> list[Formula]:
-    """The operands of a tree of conjunctions, left to right."""
-    found: list[Formula] = []
-    pending = [phi]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, And):
-            pending += (node.right, node.left)
-        else:
-            found.append(node)
-    return found
-
-
 def _given(phi: Formula, holds: set, fails: set) -> Formula:
     """``phi`` with the subformulas in ``holds`` replaced by truth and those
-    in ``fails`` by falsity, looking through negations and conjunctions."""
+    in ``fails`` by falsity, looking through negations and conjunctions.  A
+    conjunction is also false when the conjuncts of one in ``fails`` are a
+    proper subset of its own: two of the same conjuncts in another order
+    would each make the other false."""
     if phi in holds:
         return TRUE
     if phi in fails:
@@ -235,7 +253,11 @@ def _given(phi: Formula, holds: set, fails: set) -> Formula:
     if isinstance(phi, Not):
         return Not(_given(phi.operand, holds, fails))
     if isinstance(phi, And):
-        return And(_given(phi.left, holds, fails), _given(phi.right, holds, fails))
+        own = set(phi.conjuncts)
+        if any(isinstance(f, And) and own > set(f.conjuncts) for f in fails):
+            return FALSE
+        # map calls _given itself; a comprehension would add a frame per level.
+        return And(*map(_given, phi.conjuncts, repeat(holds), repeat(fails)))
     return phi
 
 
@@ -267,33 +289,25 @@ def simplify(phi: Formula) -> Formula:
     Without this, progression grows obligations with every step: ``G F p``
     gains a conjunct, and ``(F p) U (F q)`` a nested disjunction
     (``q | (p & (q | (p & U)))`` reduces to ``q | (p & U)``).  A
-    conjunction that changes is rebuilt left-associated from its conjuncts
-    in order of first occurrence, never in order of identity or hash, which
-    differ between processes; one that does not keeps its shape."""
+    conjunction keeps its conjuncts in order of first occurrence, never in
+    order of identity or hash, which differ between processes.  One pass
+    over a conjunction costs time linear in its conjuncts."""
     if isinstance(phi, Not):
         operand = simplify(phi.operand)
         if isinstance(operand, Not):
             return operand.operand
         return Not(operand)
     if isinstance(phi, And):
-        left = simplify(phi.left)
-        right = simplify(phi.right)
-        if left == FALSE or right == FALSE:
-            return FALSE
-        if left == TRUE:
-            return right
-        if right == TRUE:
-            return left
-        if left == right:
-            return left
-        conjuncts = _conjuncts(left) + _conjuncts(right)
-        reduced = _in_context(list(dict.fromkeys(conjuncts)))
-        if reduced == conjuncts:
-            return And(left, right)
-        phi = reduced[0]
-        for conjunct in reduced[1:]:
-            phi = And(phi, conjunct)
-        return simplify(phi)
+        parts: list[Formula] = []
+        for conjunct in map(simplify, phi.conjuncts):
+            if conjunct is FALSE:
+                return FALSE
+            parts += conjunct.conjuncts if isinstance(conjunct, And) else (conjunct,)
+        conjuncts = [c for c in dict.fromkeys(parts) if c is not TRUE]
+        if len(conjuncts) < 2:
+            return conjuncts[0] if conjuncts else TRUE
+        reduced = _in_context(conjuncts)
+        return And(*conjuncts) if reduced == conjuncts else simplify(And(*reduced))
     if isinstance(phi, Next):
         return Next(simplify(phi.operand))
     if isinstance(phi, Until):
@@ -341,43 +355,30 @@ class Verdict(_Resolved):
 _VERDICTS: dict[tuple[Formula], Verdict] = {}
 
 
-# Renderer precedence; higher binds tighter.  The parser accepts the same
-# grammar, so render/parse round-trip structurally.
-_PREC_AND = 20
-_PREC_UNTIL = 30
-_PREC_UNARY = 40
-_PREC_LEAF = 100
+# The parser binds ``!`` and ``X`` tightest, then ``U`` (to the right), then
+# ``&``, so render/parse round-trip structurally.
+_BINARY = (And, Until)
 
 
-def _prec(phi: Formula) -> int:
-    if isinstance(phi, And):
-        return _PREC_AND
-    if isinstance(phi, Until):
-        return _PREC_UNTIL
-    if isinstance(phi, (Not, Next)):
-        return _PREC_UNARY
-    return _PREC_LEAF
-
-
-def _wrap(phi: Formula, min_prec: int) -> str:
+def _wrap(phi: Formula, loose: type | tuple[type, ...]) -> str:
+    """``phi``'s text, in parentheses when it is a ``loose`` node."""
     text = render(phi)
-    if _prec(phi) < min_prec:
-        return f"({text})"
-    return text
+    return f"({text})" if isinstance(phi, loose) else text
 
 
 def render(phi: Formula) -> str:
-    """Emit formula text; conjunction associates left, until right."""
+    """Emit formula text; until associates right, and a conjunction prints
+    its conjuncts joined by ``&``, none of which needs parentheses."""
     if isinstance(phi, Truth):
         return "true"
     if isinstance(phi, Atom):
         return str(phi.ap)
     if isinstance(phi, Not):
-        return "!" + _wrap(phi.operand, _PREC_UNARY)
+        return "!" + _wrap(phi.operand, _BINARY)
     if isinstance(phi, Next):
-        return "X " + _wrap(phi.operand, _PREC_UNARY)
+        return "X " + _wrap(phi.operand, _BINARY)
     if isinstance(phi, And):
-        return _wrap(phi.left, _PREC_AND) + " & " + _wrap(phi.right, _PREC_AND + 1)
+        return " & ".join(map(render, phi.conjuncts))
     if isinstance(phi, Until):
-        return _wrap(phi.left, _PREC_UNTIL + 1) + " U " + _wrap(phi.right, _PREC_UNTIL)
+        return _wrap(phi.left, _BINARY) + " U " + _wrap(phi.right, And)
     raise TypeError(f"not a formula: {phi!r}")

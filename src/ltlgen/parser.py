@@ -123,11 +123,11 @@ class _Parser:
         return phi
 
     def conj(self) -> Formula:
-        phi = self.until()
+        operands = [self.until()]
         while self._peek().kind == "&":
             self._take()
-            phi = And(phi, self.until())
-        return phi
+            operands.append(self.until())
+        return And(*operands) if len(operands) > 1 else operands[0]
 
     def until(self) -> Formula:
         phi = self.unary()

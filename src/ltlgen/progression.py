@@ -45,7 +45,11 @@ def evaluate(trace: list[Labeling] | tuple[Labeling, ...], position: int, phi: F
     if isinstance(phi, Not):
         return not evaluate(trace, position, phi.operand)
     if isinstance(phi, And):
-        return evaluate(trace, position, phi.left) and evaluate(trace, position, phi.right)
+        # A loop: all() over a map would add a frame per level of nesting.
+        for conjunct in phi.conjuncts:
+            if not evaluate(trace, position, conjunct):
+                return False
+        return True
     if isinstance(phi, Next):
         return evaluate(trace, position + 1, phi.operand)
     if isinstance(phi, Until):
@@ -67,7 +71,7 @@ def expand(phi: Formula) -> Formula:
     if isinstance(phi, Not):
         return Not(expand(phi.operand))
     if isinstance(phi, And):
-        return And(expand(phi.left), expand(phi.right))
+        return And(*map(expand, phi.conjuncts))
     if isinstance(phi, Until):
         return Not(And(Not(expand(phi.right)), Not(And(expand(phi.left), Next(phi)))))
     return phi
@@ -87,10 +91,12 @@ def restrict(phi: Formula, labels: Labeling, *, action_only: bool = False) -> Fo
     if isinstance(phi, Not):
         return Not(restrict(phi.operand, labels, action_only=action_only))
     if isinstance(phi, And):
-        return And(
-            restrict(phi.left, labels, action_only=action_only),
-            restrict(phi.right, labels, action_only=action_only),
-        )
+        # A loop: map cannot pass the keyword, and a comprehension would add
+        # a frame per level of nesting.
+        parts = []
+        for conjunct in phi.conjuncts:
+            parts.append(restrict(conjunct, labels, action_only=action_only))
+        return And(*parts)
     return phi
 
 
@@ -100,7 +106,7 @@ def advance(phi: Formula) -> Formula:
     if isinstance(phi, Not):
         return Not(advance(phi.operand))
     if isinstance(phi, And):
-        return And(advance(phi.left), advance(phi.right))
+        return And(*map(advance, phi.conjuncts))
     if isinstance(phi, Next):
         return phi.operand
     return phi

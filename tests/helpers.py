@@ -66,20 +66,21 @@ def random_formula(rng: random.Random, max_ops: int, leaves: list[Formula]) -> F
 
 
 def conjuncts(phi: Formula) -> list[Formula]:
-    if isinstance(phi, And):
-        return conjuncts(phi.left) + conjuncts(phi.right)
-    return [phi]
+    return list(phi.conjuncts) if isinstance(phi, And) else [phi]
 
 
 def occurs_in(target: Formula, phi: Formula) -> bool:
     """True if ``target`` is ``phi`` or sits in it below negations and
-    conjunctions only."""
+    conjunctions only; a conjunction also sits in one that has all its
+    conjuncts and more."""
     if phi == target:
         return True
     if isinstance(phi, Not):
         return occurs_in(target, phi.operand)
     if isinstance(phi, And):
-        return occurs_in(target, phi.left) or occurs_in(target, phi.right)
+        if isinstance(target, And) and set(target.conjuncts) < set(phi.conjuncts):
+            return True
+        return any(occurs_in(target, part) for part in phi.conjuncts)
     return False
 
 
@@ -90,9 +91,9 @@ def has_redex(phi: Formula) -> bool:
             return True
         return has_redex(phi.operand)
     if isinstance(phi, And):
-        if TRUE in (phi.left, phi.right) or FALSE in (phi.left, phi.right):
-            return True
         parts = conjuncts(phi)
+        if TRUE in parts or FALSE in parts or any(isinstance(part, And) for part in parts):
+            return True
         if len(set(parts)) < len(parts):
             return True
         for part in parts:
@@ -103,7 +104,7 @@ def has_redex(phi: Formula) -> bool:
                     return True
                 if isinstance(other, Not) and occurs_in(other.operand, part):
                     return True
-        return has_redex(phi.left) or has_redex(phi.right)
+        return any(has_redex(part) for part in parts)
     if isinstance(phi, (Next, Until)):
         children = (phi.operand,) if isinstance(phi, Next) else (phi.left, phi.right)
         return any(has_redex(child) for child in children)
@@ -161,10 +162,10 @@ def reference_learn(store, decision, reward, config, eta, rng, action_labels=Non
 
     ``decision`` is a plain ``(tail, action)`` tuple, so every table access
     hashes the whole tail."""
-    tail, action = decision
+    tail, _ = decision
     if action_labels is None:
-        action_labels = store.action_labels.get(action, Labeling())
-    store.action_labels.setdefault(action, action_labels)
+        action_labels = store.action_labels.get(decision, Labeling())
+    store.action_labels.setdefault(decision, action_labels)
     if tail not in store.seen_tails:
         store.seen_tails.add(tail)
         store.q1[decision] = store.qa1.get(action_labels, 0.0)
@@ -173,7 +174,7 @@ def reference_learn(store, decision, reward, config, eta, rng, action_labels=Non
     bound = config.vigilance
     mix = config.doubleness
     for eligible, trace_value in list(store.elig.items()):
-        labels = store.action_labels[eligible[1]]
+        labels = store.action_labels[eligible]
         step = eta * delta * trace_value
         store.qa1[labels] = _clamp(store.qa1.get(labels, 0.0) + step, bound)
         store.q1[eligible] = _clamp(store.q1.get(eligible, 0.0) + step, bound)

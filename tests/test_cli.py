@@ -89,6 +89,17 @@ def test_misspelled_action_key_exit(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_misspelled_state_key_exit(tmp_path, capsys):
+    # No state has the key, so the predicate could never hold.
+    code = run(
+        "generate", "--model", CHESSWALK, "--formula", "F ![activty~About]",
+        "-o", str(tmp_path / "t.json"),
+    )
+    assert code == EXIT_FORMULA_ERROR
+    assert not (tmp_path / "t.json").exists()
+    assert capsys.readouterr().err == "formula error: no state of the model has the key 'activty'\n"
+
+
 def test_model_error_exit(tmp_path, capsys):
     code = run(
         "generate", "--model", str(tmp_path / "absent.json"),
@@ -123,6 +134,18 @@ def test_bad_config_exit(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("replay", "--times"), ("experiment", "--reps")])
+def test_zero_repetitions_exit(command, flag, tmp_path, capsys):
+    test_file = tmp_path / "t.json"
+    test_file.write_text("[]")
+    csv_path = tmp_path / "runs.csv"
+    extra = ("--test", str(test_file)) if command == "replay" else ("--csv", str(csv_path))
+    code = run(command, "--model", CHESSWALK, "--formula", "true", *extra, flag, "0")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"invalid configuration: {flag} must be >= 1\n"
+    assert not csv_path.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -226,9 +249,10 @@ DEEP_INPUTS = {
         lambda tmp: ("generate", "--model", CHESSWALK, "--formula", "X " * 3000 + "[activity~Main]"),
         EXIT_FORMULA_ERROR, "formula error: formula nests too deeply",
     ),
-    "conjuncts": (
+    # Short enough to parse at the lowered limit, too deep for the walkers.
+    "until-chain": (
         lambda tmp: ("generate", "--model", CHESSWALK,
-                     "--formula", " & ".join(f"[activity~A{i}]" for i in range(2000))),
+                     "--formula", " U ".join(f"[activity~A{i}]" for i in range(120))),
         EXIT_FORMULA_ERROR, "formula error: the formula or its obligation nests too deeply",
     ),
 }
@@ -250,6 +274,24 @@ def test_deep_nesting_exits_with_one_line(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
+
+
+def test_a_long_conjunction_runs_at_a_low_recursion_limit(tmp_path, capsys):
+    # A conjunction is one flat node, so its length adds no nesting.
+    formula = " & ".join(f"X [activity~A{i}]" for i in range(2000))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        code = run(
+            "generate", "--model", CHESSWALK, "--formula", formula,
+            "--episodes", "3", "--steps", "3", "-o", str(tmp_path / "out.json"),
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == EXIT_EXHAUSTED
+    captured = capsys.readouterr()
+    assert captured.out.startswith("outcome=exhausted episodes=3 ")
+    assert captured.err == ""
 
 
 def test_liveness_obligation_stays_bounded_over_a_long_episode(tmp_path, capsys):

@@ -75,6 +75,10 @@ def test_default_config_is_valid():
         # Finite knobs whose policy scores would overflow to inf.
         ("vigilance", 1e308),
         ("t_min", 5e-324),
+        # A floor above its start.
+        ("t_min", 6.0),
+        ("eps_min", 0.5),
+        ("eta_min", 2.0),
     ],
 )
 def test_config_validation_rejects(field, value):
@@ -488,6 +492,32 @@ def test_step_labels_tell_apart_actions_with_one_signature():
     clicks = [("reinitialize", ("MainActivity",)), ("click", ("10", "10")), ("click", ("10", "10"))]
     log = replay(model, clicks, phi)
     assert [record.labels & {go, stop} for record in log.steps] == [set(), {go}, {stop}]
+
+
+def test_learner_labels_tell_apart_actions_with_one_signature():
+    # A Start/Stop button: one widget id, so one signature, in two states.
+    model = model_from_dict({
+        "screen": [100, 100],
+        "initial": {"MainActivity": "a"},
+        "states": [
+            {
+                "id": state_id,
+                "attributes": {"activity": "MainActivity", "package": "demo"},
+                "widgets": [{"objectID": "0:0", "text": text, "bounds": [0, 0, 20, 20]}],
+                "actions": [{"type": "click", "on": "0:0", "transitions": [{"to": "b"}]}],
+            }
+            for state_id, text in (("a", "Start"), ("b", "Stop"))
+        ],
+    })
+    stop = lab(AtomicProposition("actionDetail", "~", "Stop"))
+    store = QStore()
+    config = LearnerConfig(steps=3, seed=1, episodes=1)
+    log = run_episode(EnvSession(model, seed=0), parse("F [actionDetail~Stop]"), store, config)
+    assert log.outcome == "satisfied"
+    assert [record.action.detail for record in log.steps[1:]] == ["Start", "Stop"]
+    assert log.steps[-1].reward == 1.0
+    assert list(store.action_labels.values()) == [lab(), lab(), stop]
+    assert set(store.qa1) == set(store.qa2) == {lab(), stop}
 
 
 def test_tails_respect_the_length_bound(needle):

@@ -170,7 +170,7 @@ def test_render_canonical_forms():
     assert render(TRUE) == "true"
     assert render(Not(And(Atom(P), Atom(Q)))) == "!([p=1] & [q=1])"
     assert render(Next(Until(Atom(P), Atom(Q)))) == "X ([p=1] U [q=1])"
-    assert render(And(Atom(P), And(Atom(P), Atom(Q)))) == "[p=1] & ([p=1] & [q=1])"
+    assert render(And(Atom(P), And(Atom(P), Atom(Q)))) == "[p=1] & [p=1] & [q=1]"
     assert render(Until(Until(Atom(P), Atom(Q)), Atom(P))) == "([p=1] U [q=1]) U [p=1]"
 
 
@@ -231,6 +231,8 @@ def rebuild(phi):
         return Atom(AtomicProposition(phi.ap.key, phi.ap.op, phi.ap.value))
     if isinstance(phi, (Not, Next)):
         return type(phi)(rebuild(phi.operand))
+    if isinstance(phi, And):
+        return And(*map(rebuild, phi.conjuncts))
     return type(phi)(rebuild(phi.left), rebuild(phi.right))
 
 
@@ -239,7 +241,9 @@ def reference_count(phi):
         return 1
     if isinstance(phi, (Not, Next)):
         return reference_count(phi.operand)
-    if isinstance(phi, (And, Until)):
+    if isinstance(phi, And):
+        return sum(map(reference_count, phi.conjuncts))
+    if isinstance(phi, Until):
         return reference_count(phi.left) + reference_count(phi.right)
     return 0
 
@@ -249,7 +253,9 @@ def reference_atoms(phi):
         return {phi.ap}
     if isinstance(phi, (Not, Next)):
         return reference_atoms(phi.operand)
-    if isinstance(phi, (And, Until)):
+    if isinstance(phi, And):
+        return set().union(*map(reference_atoms, phi.conjuncts))
+    if isinstance(phi, Until):
         return reference_atoms(phi.left) | reference_atoms(phi.right)
     return set()
 
@@ -294,12 +300,12 @@ def test_distinct_trees_stay_distinct():
 def test_nodes_are_immutable():
     phi = And(Atom(P), Atom(Q))
     with pytest.raises(AttributeError):
-        phi.left = TRUE
+        phi.conjuncts = (TRUE, TRUE)
     with pytest.raises(AttributeError):
-        del phi.right
+        del phi.conjuncts
     with pytest.raises(AttributeError):
         phi.atom_count = 0
-    assert phi.left is Atom(P)
+    assert phi.conjuncts == (Atom(P), Atom(Q))
 
 
 def test_repr_names_the_fields():

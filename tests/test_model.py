@@ -200,6 +200,19 @@ def test_validation_requires_an_action_per_state():
         model_from_dict(data)
 
 
+@pytest.mark.parametrize("case", ["not an object", "reserved state id"])
+def test_validation_rejects_a_non_object_and_the_reserved_state_id(case):
+    data = minimal_model()
+    if case == "not an object":
+        data, message = [data], "model must be a JSON object"
+    else:
+        data["states"][1]["id"] = "∅"
+        message = "state id '∅' is reserved for the don't-care state"
+    with pytest.raises(ModelError) as info:
+        model_from_dict(data)
+    assert str(info.value) == f"<model>: {message}"
+
+
 def test_validation_checks_initial_targets():
     data = minimal_model()
     data["initial"] = {"MainActivity": "ghost"}

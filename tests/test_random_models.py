@@ -178,7 +178,8 @@ def test_episode_verdicts_agree_with_evaluate(model, phi, seed):
 
 
 def subformulas(phi) -> set:
-    children = [getattr(phi, name) for name in ("operand", "left", "right") if hasattr(phi, name)]
+    names = ("operand", "left", "right")
+    children = [*getattr(phi, "conjuncts", ()), *(getattr(phi, n) for n in names if hasattr(phi, n))]
     return {phi}.union(*map(subformulas, children))
 
 
@@ -273,10 +274,10 @@ def test_learn_equals_the_reference_update(vigilance, doubleness, elig_decay, el
             reference, (tail, action), reward, config, eta, random.Random(seed), action_labels
         )
         assert delta == expected
-    for name in ("q1", "q2", "elig"):
+    for name in ("q1", "q2", "elig", "action_labels"):
         table = [((d.tail, d.action), value) for d, value in getattr(store, name).items()]
         assert table == list(getattr(reference, name).items())
-    for name in ("qa1", "qa2", "action_labels"):
+    for name in ("qa1", "qa2"):
         assert list(getattr(store, name).items()) == list(getattr(reference, name).items())
     assert store.seen_tails == reference.seen_tails
 
