@@ -142,7 +142,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[AppModel, Formula]:
             raise ParseError(f"cannot read formula file: {exc}") from exc
     phi = parse(text)
     # A state key no state has would never hold, so a typo would pass unseen.
-    keys = {"text", "objectID", "checked"}.union(*(s.attributes for s in model.states.values()))
+    keys = set().union(*(s.observed for s in model.states.values()))
     unknown = sorted({ap.key for ap in phi.alphabet if not ap.is_action} - keys)
     if unknown:
         raise ParseError(f"no state of the model has the key {unknown[0]!r}")

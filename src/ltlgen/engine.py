@@ -160,6 +160,9 @@ class LearnerConfig:
             raise ValueError("elig_min must be positive")
         if self.tail_length < 0:
             raise ValueError("tail_length must be >= 0")
+        if self.seed < 0:
+            # random.Random seeds with the absolute value, so -1 would repeat 1.
+            raise ValueError("seed must be >= 0")
 
 
 class QStore:
@@ -581,6 +584,8 @@ def replay(
 ) -> EpisodeLog:
     """Execute a fixed action sequence and report per-step rewards and the
     final verdict.  Stops early once the verdict resolves."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     session = EnvSession(model, seed=seed)
 
     def pick(k: int, enabled: Sequence[GuiAction]) -> GuiAction:

@@ -1,16 +1,20 @@
 """Simulated GUI application models.
 
 A model file declares states (attributes plus widgets), the actions enabled
-in each state, and weighted transitions.  An :class:`EnvSession` exposes the
-three observations an episode needs: the enabled actions of the current
-state, the sampled successor of an executed action, and predicate labelings
-for states and actions.
+in each state, and weighted transitions.  Loading keeps of each state, and
+of each action, only its observation table: a dict from each key a
+predicate can read to the tuple of values observed under it.  Both labeling
+functions read those tables, so what a predicate key reads is decided here,
+once.  An :class:`EnvSession` exposes the two observations an episode needs
+from the model: the enabled actions of the current state and the sampled
+successor of an executed action.
 
 Actions are hash-consed like formula nodes (``formula.Interned``): one
 object per distinct action, shared by every model that enables it, and
 compared and hashed by identity.  States and the model are immutable
 ``formula.Frozen`` objects: a state compares by identity too, since ids
-repeat across models.  Widgets are named tuples.
+repeat across models.  A widget is a named tuple the loader validates and
+reads; a loaded state keeps only what its widgets show a formula.
 
 The pre-launch don't-care state is implicit: it is never listed in a file,
 and the only actions enabled there are the reinitialize actions derived from
@@ -40,6 +44,9 @@ class ActionNotEnabled(Exception):
 DONT_CARE_ID = "∅"
 
 ActionSig = tuple[str, tuple[str, ...], str]
+# What a predicate key reads: the values observed under it.  A predicate
+# holds when it matches any of them.
+Observed = dict[str, tuple[str, ...]]
 
 
 class Widget(NamedTuple):
@@ -55,9 +62,9 @@ class Widget(NamedTuple):
 
 
 class _Signed(Interned):
-    # Built once: a step reads it several times.  A slot of a base class, so
-    # left out of repr and pickling.
-    __slots__ = ("signature",)
+    # Built once: a step reads the signature several times.  Slots of a base
+    # class, so left out of repr and pickling.
+    __slots__ = ("signature", "observed")
 
 
 class GuiAction(_Signed):
@@ -70,7 +77,8 @@ class GuiAction(_Signed):
         cls, action_type: str, params: tuple[str, ...] = (), target: str = "", detail: str = ""
     ) -> GuiAction:
         key = (action_type, params, target, detail)
-        return intern(_ACTIONS, key, cls, key + ((action_type, params, target),))
+        observed = {"actionType": (action_type,), "actionDetail": (detail,), "actionObjectID": (target,)}
+        return intern(_ACTIONS, key, cls, key + ((action_type, params, target), observed))
 
     def describe(self) -> str:
         return " ".join((self.action_type,) + self.params)
@@ -81,16 +89,16 @@ _ACTIONS: dict[tuple[str, tuple[str, ...], str, str], GuiAction] = {}
 
 
 class GuiState(Frozen):
-    """One screen of a model.  Compared and hashed by identity: ids repeat
-    across models, state objects do not."""
+    """One screen of a model, as its observation table.  Compared and hashed
+    by identity: ids repeat across models, state objects do not."""
 
-    __slots__ = ("id", "attributes", "widgets")
+    __slots__ = ("id", "observed")
 
-    def __new__(cls, id: str, attributes: dict[str, str], widgets: tuple[Widget, ...]) -> GuiState:
-        return build(cls, (id, attributes, widgets))
+    def __new__(cls, id: str, observed: Observed) -> GuiState:
+        return build(cls, (id, observed))
 
 
-DONT_CARE = GuiState(DONT_CARE_ID, {}, ())
+DONT_CARE = GuiState(DONT_CARE_ID, {})
 
 Distribution = tuple[tuple[str, float], ...]
 
@@ -101,17 +109,15 @@ class AppModel(Frozen):
     ``enabled`` and ``transitions`` also hold the don't-care state, keyed by
     ``DONT_CARE_ID``, though ``states`` does not."""
 
-    __slots__ = ("screen", "initial", "states", "enabled", "transitions")
+    __slots__ = ("states", "enabled", "transitions")
 
     def __new__(
         cls,
-        screen: tuple[int, int],
-        initial: dict[str, str],
         states: dict[str, GuiState],
         enabled: dict[str, tuple[GuiAction, ...]],
         transitions: dict[tuple[str, ActionSig], Distribution],
     ) -> AppModel:
-        return build(cls, (screen, initial, states, enabled, transitions))
+        return build(cls, (states, enabled, transitions))
 
     def enabled_in(self, state: GuiState) -> tuple[GuiAction, ...]:
         return self.enabled[state.id]
@@ -266,6 +272,19 @@ def model_from_dict(data: object, source: str = "<model>") -> AppModel:
             if widget.object_id in widgets:
                 raise _fail(source, f"state {state_id!r}: duplicate widget id {widget.object_id!r}")
             widgets[widget.object_id] = widget
+        observed: Observed = {
+            "text": tuple(w.text for w in widgets.values()),
+            "objectID": tuple(widgets),
+            "checked": tuple(
+                "true" if w.checked else "false" for w in widgets.values() if w.checked is not None
+            ),
+        }
+        for key, value in attributes.items():
+            # The widget keys read the widgets, and a key starting with
+            # "action" parses as an action predicate.
+            if key in observed or key.startswith("action"):
+                raise _fail(source, f"state {state_id!r}: no formula can read attribute {key!r}")
+            observed[key] = (value,)
         raw_actions = raw_state.get("actions")
         if not isinstance(raw_actions, list) or not raw_actions:
             raise _fail(source, f"state {state_id!r}: needs at least one enabled action")
@@ -282,7 +301,7 @@ def model_from_dict(data: object, source: str = "<model>") -> AppModel:
             actions.append(action)
             transitions[(state_id, action.signature)] = tuple(arrows)
             pending.extend((state_id, action.describe(), to) for to, _ in arrows)
-        states[state_id] = GuiState(state_id, dict(attributes), tuple(widgets.values()))
+        states[state_id] = GuiState(state_id, observed)
         enabled[state_id] = tuple(sorted(actions, key=lambda a: a.signature))
 
     for state_id, description, target in pending:
@@ -296,7 +315,7 @@ def model_from_dict(data: object, source: str = "<model>") -> AppModel:
         transitions[(DONT_CARE_ID, launch.signature)] = ((initial_raw[launch.params[0]], 1.0),)
     enabled[DONT_CARE_ID] = launches
 
-    return AppModel(screen, dict(initial_raw), states, enabled, transitions)
+    return AppModel(states, enabled, transitions)
 
 
 def _read_json(path: Path) -> object:
@@ -359,44 +378,20 @@ class EnvSession:
 
 def state_labeling(state: GuiState, alphabet: Iterable[AtomicProposition]) -> Labeling:
     """Predicates from the alphabet that hold on the state's attributes and widgets."""
-    matched = set()
-    for ap in alphabet:
-        if ap.is_action:
-            continue
-        if _state_matches(state, ap):
-            matched.add(ap)
-    return Labeling(frozenset(matched))
-
-
-def _state_matches(state: GuiState, ap: AtomicProposition) -> bool:
-    if ap.key == "text":
-        return any(ap.matches(w.text) for w in state.widgets)
-    if ap.key == "objectID":
-        return any(ap.matches(w.object_id) for w in state.widgets)
-    if ap.key == "checked":
-        return any(
-            w.checked is not None and ap.matches("true" if w.checked else "false")
-            for w in state.widgets
-        )
-    value = state.attributes.get(ap.key)
-    return value is not None and ap.matches(value)
+    return _labeling(state.observed, alphabet)
 
 
 def action_labeling(action: GuiAction, alphabet: Iterable[AtomicProposition]) -> Labeling:
     """Predicates from the alphabet that hold on the action, known before execution."""
-    matched = set()
-    for ap in alphabet:
-        if not ap.is_action:
-            continue
-        if ap.key == "actionType":
-            hit = ap.matches(action.action_type)
-        elif ap.key == "actionDetail":
-            hit = ap.matches(action.detail)
-        else:  # actionObjectID, the one action key left
-            hit = bool(action.target) and ap.matches(action.target)
-        if hit:
-            matched.add(ap)
-    return Labeling(frozenset(matched))
+    return _labeling(action.observed, alphabet)
+
+
+def _labeling(observed: Observed, alphabet: Iterable[AtomicProposition]) -> Labeling:
+    # No key is observed by both states and actions, so each labeling skips
+    # the predicates of the other kind.
+    return Labeling(
+        frozenset(ap for ap in alphabet if any(map(ap.matches, observed.get(ap.key, ()))))
+    )
 
 
 def save_test(path: str | Path, actions: Sequence[GuiAction]) -> None:

@@ -1,11 +1,12 @@
 """Shared builders for the test suite: predicates, labelings, formula
-generators, the reference learner update and policy, and an exact oracle
-for the shortest test."""
+generators, the reference learner update and policy, and exact oracles for
+the shortest test and for the uniform baseline's chance of finding one."""
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from ltlgen import (
     And,
@@ -137,6 +138,38 @@ def shortest_test(model, phi: Formula, steps: int) -> int | None:
                         reached.add((successor, verdict.formula))
         frontier = reached
     return None
+
+
+def satisfaction_probability(model, phi: Formula, steps: int) -> Fraction:
+    """The exact probability that one episode of uniformly drawn actions
+    satisfies ``phi`` within ``steps`` steps.
+
+    Each enabled action is drawn with probability 1/n and each successor
+    with its transition weight, taken as the exact value of the float.  The
+    walk is ``shortest_test``'s product, carrying the probability of each
+    (state, obligation) pair; a path stops when its verdict resolves."""
+    phi = simplify(phi)
+    alphabet = atom_set(phi)
+    frontier = {(DONT_CARE, phi): Fraction(1)}
+    satisfied = Fraction(0)
+    for _ in range(steps):
+        reached: dict = {}
+        for (state, obligation), mass in frontier.items():
+            actions = model.enabled_in(state)
+            for action in actions:
+                action_labels = action_labeling(action, alphabet)
+                for target, weight in model.transition(state, action):
+                    successor = model.states[target]
+                    labels = action_labels | state_labeling(successor, alphabet)
+                    verdict = projection(obligation, labels)
+                    share = mass * Fraction(weight) / len(actions)
+                    if verdict.is_true:
+                        satisfied += share
+                    elif not verdict.is_false:
+                        key = (successor, verdict.formula)
+                        reached[key] = reached.get(key, 0) + share
+        frontier = reached
+    return satisfied
 
 
 class FixedRoll:

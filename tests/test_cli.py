@@ -112,12 +112,18 @@ def test_model_error_exit(tmp_path, capsys):
 @pytest.mark.parametrize("where, value, message", [
     ("widgets", None, "state 'main': 'widgets' must be a list"),
     ("on", ["0:0"], "state 'main': action 'click' 'on' must be a widget id string"),
+    *(
+        ("attributes", key, f"state 'main': no formula can read attribute {key!r}")
+        for key in ("text", "objectID", "checked", "actionFoo")
+    ),
 ])
 def test_malformed_model_value_exit(where, value, message, tmp_path, capsys):
     data = json.loads((MODELS / "chesswalk_abstract.json").read_text())
     state = next(s for s in data["states"] if s["id"] == "main")
     if where == "widgets":
         state["widgets"] = value
+    elif where == "attributes":
+        state["attributes"][value] = "About"
     else:
         next(a for a in state["actions"] if "on" in a)["on"] = value
     model = tmp_path / "model.json"
@@ -134,6 +140,23 @@ def test_bad_config_exit(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "replay", "experiment"])
+def test_negative_seed_exit(command, tmp_path, capsys):
+    # random.Random seeds with the absolute value, so -1 would repeat 1.
+    test_file = tmp_path / "t.json"
+    test_file.write_text('[{"type": "reinitialize", "params": ["MainActivity"]}]')
+    csv_path = tmp_path / "runs.csv"
+    extra = {
+        "generate": ("-o", str(tmp_path / "out.json")),
+        "replay": ("--test", str(test_file)),
+        "experiment": ("--csv", str(csv_path)),
+    }[command]
+    code = run(command, "--model", CHESSWALK, "--formula", "true", *extra, "--seed", "-1")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr() == ("", "invalid configuration: seed must be >= 0\n")
+    assert not csv_path.exists() and not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("command, flag", [("replay", "--times"), ("experiment", "--reps")])

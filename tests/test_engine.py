@@ -69,6 +69,8 @@ def test_default_config_is_valid():
         ("vigilance", 0.0),
         ("elig_min", 0.0),
         ("tail_length", -1),
+        # random.Random seeds with the absolute value, so -1 would repeat 1.
+        ("seed", -1),
         ("t0", math.nan),
         ("eps_update", math.inf),
         ("vigilance", -math.inf),

@@ -19,7 +19,8 @@ from ltlgen import (
     save_test,
     state_labeling,
 )
-from ltlgen.model import AppModel
+from ltlgen.formula import _ACTION_KEYS
+from ltlgen.model import AppModel, GuiState
 from conftest import MODELS
 from helpers import lab
 
@@ -55,14 +56,18 @@ def minimal_model() -> dict:
 
 def test_loads_the_shipped_model(chesswalk):
     assert set(chesswalk.states) == {"main", "about", "settings", "settings_off", "newgame", "outside"}
-    assert chesswalk.initial == {"MainActivity": "main"}
-    assert chesswalk.screen == (480, 800)
+    assert chesswalk.states["main"].observed == {
+        "text": ("New Game", "Settings", "About"),
+        "objectID": ("0:0", "0:3", "0:4"),
+        "checked": (),
+        "activity": ("MainActivity",),
+        "package": ("net.chesswalk",),
+    }
 
 
 def test_dont_care_state_is_implicit(chesswalk):
     assert DONT_CARE.id not in chesswalk.states
-    assert DONT_CARE.attributes == {}
-    assert DONT_CARE.widgets == ()
+    assert DONT_CARE.observed == {}
 
 
 def test_click_params_are_widget_centers(chesswalk):
@@ -421,6 +426,18 @@ def test_state_labeling_widget_keys(chesswalk):
     assert state_labeling(chesswalk.states["settings_off"], {checked_on, checked_off}) == lab(checked_off)
 
 
+@pytest.mark.parametrize("where", ["no checked values", "a widget without a flag"])
+def test_state_labeling_without_a_checked_flag(where, chesswalk):
+    checked_on = AtomicProposition("checked", "=", "true")
+    checked_off = AtomicProposition("checked", "=", "false")
+    if where == "no checked values":
+        state = GuiState("s", {"checked": ()})
+    else:
+        state = chesswalk.states["main"]
+        assert state.observed["objectID"] and not state.observed["checked"]
+    assert state_labeling(state, {checked_on, checked_off}) == lab()
+
+
 def test_state_labeling_contextual_attribute():
     data = minimal_model()
     data["states"][0]["attributes"]["screen"] = "off"
@@ -451,6 +468,10 @@ def test_action_labeling_by_type_detail_and_object(chesswalk):
     object_id = AtomicProposition("actionObjectID", "=", "0:4")
     got = action_labeling(about_click, {detail, object_id, by_type})
     assert got == lab(detail, object_id)
+
+
+def test_an_action_observes_exactly_the_action_keys():
+    assert set(GuiAction("back").observed) == set(_ACTION_KEYS)
 
 
 def test_action_labeling_reinitialize_matches_nothing_clicky():

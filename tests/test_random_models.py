@@ -1,6 +1,8 @@
 """Properties over small random models and random formulas over their predicates."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from ltlgen import (
     model_from_dict,
     parse,
     policy_probabilities,
+    random_policy_generate,
     replay,
     run_episode,
     simplify,
@@ -37,6 +40,7 @@ from helpers import (
     reference_decide_next_action,
     reference_learn,
     reference_policy_probabilities,
+    satisfaction_probability,
     shortest_test,
 )
 
@@ -238,6 +242,33 @@ def test_shortest_tests_of_the_benchmark_formulas(model_name, formula, shortest,
     assert shortest_test(model, parse(formula), steps) == shortest
     # One step fewer leaves no test at all.
     assert shortest_test(model, parse(formula), shortest - 1) is None
+
+
+@pytest.mark.parametrize("model_name, formula, probability", [
+    ("needle", NEEDLE_A, Fraction(1, 512)),
+    ("needle", NEEDLE_B, Fraction(1, 512)),
+    ("needle", NEEDLE_C, Fraction(1, 512)),
+    ("chesswalk", GO_ABOUT_AND_BACK, Fraction(23, 225)),
+])
+def test_success_probabilities_of_the_benchmark_formulas(model_name, formula, probability, request):
+    model = request.getfixturevalue(model_name)
+    assert satisfaction_probability(model, parse(formula), LearnerConfig().steps) == probability
+
+
+def test_random_baseline_succeeds_as_often_as_its_probability(needle):
+    # 400 seeds of 100 episodes: a run succeeds with P = 1 - (1 - p)^100, and
+    # the count of successes must lie within 4 binomial standard deviations
+    # of 400 P (41 to 101 runs).
+    phi = parse(NEEDLE_B)
+    runs, episodes = 400, 100
+    p = satisfaction_probability(needle, phi, LearnerConfig().steps)
+    success = float(1 - (1 - p) ** episodes)
+    assert round(success, 5) == 0.17758
+    satisfied = sum(
+        random_policy_generate(needle, phi, LearnerConfig(seed=seed, episodes=episodes)).satisfied
+        for seed in range(runs)
+    )
+    assert abs(satisfied - runs * success) <= 4 * math.sqrt(runs * success * (1 - success))
 
 
 SIGNATURES = [("back", (), ""), ("swipe", (), ""), ("click", ("5", "5"), "0:0")]

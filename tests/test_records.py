@@ -50,10 +50,10 @@ def converted(chesswalk):
     result = generate(chesswalk, phi, dataclasses.replace(LearnerConfig(), episodes=3, seed=1))
     store = QStore()
     engine.run_episode(EnvSession(chesswalk), phi, store, LearnerConfig())
-    assert store.q1 and chesswalk.states["main"].widgets
+    assert store.q1
     return {
         "predicate": AtomicProposition("activity", "~", "Main"),
-        "widget": chesswalk.states["main"].widgets[0],
+        "widget": Widget("0:4", "About", (214, 644, 264, 694)),
         "state": chesswalk.states["main"],
         "model": chesswalk,
         "store": store,
@@ -80,8 +80,8 @@ def test_copies_and_pickles_round_trip(converted, name):
     [
         (AtomicProposition("activity", "~", "Main"), "value"),
         (Widget("0:0"), "text"),
-        (GuiState("main", {}, ()), "id"),
-        (AppModel((1, 1), {}, {}, {}, {}), "states"),
+        (GuiState("main", {}), "id"),
+        (AppModel({}, {}, {}), "states"),
         (RunStats("exhausted", 1, 1, 0.0, 0), "steps"),
         (_Token("end", 0), "kind"),
     ],
@@ -92,8 +92,8 @@ def test_value_and_record_fields_refuse_assignment(obj, field):
 
 
 def test_states_compare_by_identity():
-    state = GuiState("main", {"activity": "MainActivity"}, ())
-    twin = GuiState("main", {"activity": "MainActivity"}, ())
+    state = GuiState("main", {"activity": ("MainActivity",)})
+    twin = GuiState("main", {"activity": ("MainActivity",)})
     assert state == state and state != twin
     assert len({state, twin}) == 2
 
