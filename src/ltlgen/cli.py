@@ -141,8 +141,9 @@ def _load_inputs(args: argparse.Namespace) -> tuple[AppModel, Formula]:
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read formula file: {exc}") from exc
     phi = parse(text)
-    # A state key no state has would never hold, so a typo would pass unseen.
-    keys = set().union(*(s.observed for s in model.states.values()))
+    # A state key no state observes a value under would never hold, so a
+    # typo, or a widget key no widget shows, would pass unseen.
+    keys = {key for s in model.states.values() for key, values in s.observed.items() if values}
     unknown = sorted({ap.key for ap in phi.alphabet if not ap.is_action} - keys)
     if unknown:
         raise ParseError(f"no state of the model has the key {unknown[0]!r}")

@@ -85,19 +85,15 @@ Pick = Callable[[int, Sequence[GuiAction]], GuiAction]
 class Decision(Interned):
     """A choice point: the recent history it was made from plus the action.
 
-    Interned like formula nodes, so a learner table lookup does not walk the
-    tail.
+    Interned like formula nodes, keyed in the class's own table by the tail
+    and the action, so a learner table lookup does not walk the tail.
     """
 
     __slots__ = ("tail", "action")
 
     def __new__(cls, tail: Tail, action: ActionSig) -> Decision:
         key = (tail, action)
-        return intern(_DECISIONS, key, cls, key)
-
-
-# Every decision ever built, keyed by its tail and action.
-_DECISIONS: dict[tuple[Tail, ActionSig], Decision] = {}
+        return intern(cls, key, key)
 
 
 @dataclass

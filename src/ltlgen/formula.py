@@ -5,8 +5,9 @@ next, and until.  Disjunction, implication, finally, globally, and the
 ``false`` literal are parser sugar and never appear in a tree.
 
 Predicates and nodes are hash-consed through ``Interned`` and ``intern``,
-which verdicts, GUI actions and the learner's decisions share; its base,
-``Frozen``, also serves the model's states and the model itself.
+which verdicts, GUI actions and the learner's decisions share; each class
+keeps its objects in its own table.  The base of ``Interned``, ``Frozen``,
+also serves the model's states and the model itself.
 A conjunction is one flat node over all its conjuncts, so its length adds
 no nesting.  ``simplify`` gives the normal form every obligation is kept
 in; it treats each conjunction as the set of its conjuncts, which keeps the
@@ -16,6 +17,7 @@ an episode.
 
 from __future__ import annotations
 
+import re
 from itertools import repeat
 
 
@@ -60,14 +62,17 @@ class Interned(Frozen):
     """Base class for hash-consed values: one object per value.
 
     Formula nodes, predicates, verdicts, GUI actions (``model.GuiAction``)
-    and learner decisions (``engine.Decision``) derive from it.  A
-    constructor returns the stored object equal to what it would build (see
-    ``intern``), so identity is value equality, a lookup never walks the
-    value, and copies and unpickled objects come back as the stored object.
-    Identity hashes differ between processes; nothing iterates a collection
-    keyed by interned objects in an order that reaches output.  Interned
-    objects are never evicted: each table grows with the number of distinct
-    values a process builds.
+    and learner decisions (``engine.Decision``) derive from it.  Every
+    subclass gets its own table, ``_table``, from each of its constructor's
+    keys to the object built for it, so a key never names the class and a
+    subclass never shares its base's objects.  A constructor returns the
+    stored object equal to what it would build (see ``intern``), so identity
+    is value equality, a lookup never walks the value, and copies and
+    unpickled objects come back as the stored object.  Identity hashes
+    differ between processes; nothing iterates a collection keyed by
+    interned objects in an order that reaches output.  Interned objects are
+    never evicted: each class's table grows with the number of distinct
+    values a process builds of it.
 
     The package has one idiom per kind of class: values are ``Interned``,
     records are ``typing.NamedTuple``s, and state is a plain class with
@@ -78,30 +83,37 @@ class Interned(Frozen):
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
 
-def intern(table: dict, key: tuple, cls: type, values: tuple):
-    """The object stored under ``key``, built by ``build`` on first use."""
-    obj = table.get(key)
+
+def intern(cls: type, key: tuple, values: tuple):
+    """The ``cls`` object stored under ``key`` in ``cls``'s own table, built
+    by ``build`` on first use."""
+    obj = cls._table.get(key)
     if obj is not None:
         return obj
     # setdefault keeps one object when two threads build the same value.
-    return table.setdefault(key, build(cls, values))
+    return cls._table.setdefault(key, build(cls, values))
 
 
 class AtomicProposition(Interned):
     """One bracketed predicate such as ``[activity~Main]`` or ``[actionType=back]``.
 
-    ``=`` demands exact equality of the observed value; ``~`` demands
-    case-sensitive substring containment.  Predicates whose key starts with
-    ``action`` describe the action being executed, by one of ``_ACTION_KEYS``;
-    all others describe the resulting state.
+    The key is one or more word characters and the value is not empty; the
+    parser leaves both checks to this constructor.  ``=`` demands exact
+    equality of the observed value; ``~`` demands case-sensitive substring
+    containment.  Predicates whose key starts with ``action`` describe the
+    action being executed, by one of ``_ACTION_KEYS``; all others describe
+    the resulting state.
     """
 
     __slots__ = ("key", "op", "value")
 
     def __new__(cls, key: str, op: str, value: str) -> AtomicProposition:
-        if not key:
-            raise ValueError("predicate key must not be empty")
+        if not _KEY.fullmatch(key):
+            raise ValueError(f"bad predicate key {key!r}")
         if op not in ("=", "~"):
             raise ValueError(f"predicate operator must be '=' or '~', got {op!r}")
         if not value:
@@ -109,7 +121,7 @@ class AtomicProposition(Interned):
         if key.startswith("action") and key not in _ACTION_KEYS:
             raise ValueError(f"action key must be one of {', '.join(_ACTION_KEYS)}, got {key!r}")
         values = (key, op, value)
-        return intern(_PREDICATES, values, cls, values)
+        return intern(cls, values, values)
 
     @property
     def is_action(self) -> bool:
@@ -124,27 +136,23 @@ class AtomicProposition(Interned):
         return f"[{self.key}{self.op}{self.value}]"
 
 
+# A predicate key is one or more word characters, as the parser reads it.
+_KEY = re.compile(r"\w+")
 # The keys model.action_labeling reads from an action.
 _ACTION_KEYS = ("actionType", "actionDetail", "actionObjectID")
-# Every predicate ever built, keyed by its fields.
-_PREDICATES: dict[tuple[str, str, str], AtomicProposition] = {}
 
 
 class Formula(Interned):
     """Base class for formula nodes.
 
     Two trees are structurally equal exactly when they are the same node.
-    Each node computes its predicate count (``atom_count``) and distinct
+    A node class's table is keyed by the node's children (a conjunction's
+    by its conjuncts), which are canonical nodes, so keys hash and compare
+    by identity.  Each node computes its predicate count (``atom_count``) and distinct
     predicates (``alphabet``) once, when it is first built.
     """
 
     __slots__ = ("atom_count", "alphabet")
-
-
-# Every node but a conjunction (see ``_CONJUNCTIONS``) ever built, keyed by
-# its class and its fields.  Children are canonical nodes, so keys hash and
-# compare by identity.
-_NODES: dict[tuple, Formula] = {}
 
 
 def _union(*alphabets: frozenset) -> frozenset:
@@ -160,21 +168,21 @@ class Truth(Formula):
     __slots__ = ()
 
     def __new__(cls) -> Truth:
-        return intern(_NODES, (cls,), cls, (0, frozenset()))
+        return intern(cls, (), (0, frozenset()))
 
 
 class Atom(Formula):
     __slots__ = ("ap",)
 
     def __new__(cls, ap: AtomicProposition) -> Atom:
-        return intern(_NODES, (cls, ap), cls, (ap, 1, frozenset((ap,))))
+        return intern(cls, (ap,), (ap, 1, frozenset((ap,))))
 
 
 class Not(Formula):
     __slots__ = ("operand",)
 
     def __new__(cls, operand: Formula) -> Not:
-        return intern(_NODES, (cls, operand), cls, (operand, operand.atom_count, operand.alphabet))
+        return intern(cls, (operand,), (operand, operand.atom_count, operand.alphabet))
 
 
 class And(Formula):
@@ -195,26 +203,21 @@ class And(Formula):
         key = tuple(conjuncts)
         if len(key) < 2:
             raise ValueError("a conjunction needs at least two conjuncts")
-        node = _CONJUNCTIONS.get(key)
+        node = cls._table.get(key)
         if node is None:
             alphabet = _union(*[conjunct.alphabet for conjunct in key])
-            node = intern(_CONJUNCTIONS, key, cls, (key, sum(c.atom_count for c in key), alphabet))
+            node = intern(cls, key, (key, sum(c.atom_count for c in key), alphabet))
         return node
 
     def __reduce__(self):
         return And, self.conjuncts
 
 
-# Every conjunction ever built, keyed by its conjuncts, which its node keeps
-# as the same tuple.
-_CONJUNCTIONS: dict[tuple[Formula, ...], And] = {}
-
-
 class Next(Formula):
     __slots__ = ("operand",)
 
     def __new__(cls, operand: Formula) -> Next:
-        return intern(_NODES, (cls, operand), cls, (operand, operand.atom_count, operand.alphabet))
+        return intern(cls, (operand,), (operand, operand.atom_count, operand.alphabet))
 
 
 class Until(Formula):
@@ -223,7 +226,7 @@ class Until(Formula):
     def __new__(cls, left: Formula, right: Formula) -> Until:
         count = left.atom_count + right.atom_count
         alphabet = _union(left.alphabet, right.alphabet)
-        return intern(_NODES, (cls, left, right), cls, (left, right, count, alphabet))
+        return intern(cls, (left, right), (left, right, count, alphabet))
 
 
 TRUE = Truth()
@@ -240,24 +243,26 @@ def atom_set(phi: Formula) -> frozenset[AtomicProposition]:
     return phi.alphabet
 
 
-def _given(phi: Formula, holds: set, fails: set) -> Formula:
+def _given(phi: Formula, holds: set, fails: set, under: dict) -> Formula:
     """``phi`` with the subformulas in ``holds`` replaced by truth and those
     in ``fails`` by falsity, looking through negations and conjunctions.  A
     conjunction is also false when the conjuncts of one in ``fails`` are a
     proper subset of its own: two of the same conjuncts in another order
-    would each make the other false."""
+    would each make the other false.  ``under`` lists the conjunctions that
+    may be in ``fails`` by their first conjunct, so only those that share
+    it with a conjunction are compared with it."""
     if phi in holds:
         return TRUE
     if phi in fails:
         return FALSE
     if isinstance(phi, Not):
-        return Not(_given(phi.operand, holds, fails))
+        return Not(_given(phi.operand, holds, fails, under))
     if isinstance(phi, And):
         own = set(phi.conjuncts)
-        if any(isinstance(f, And) and own > set(f.conjuncts) for f in fails):
+        if any(f in fails and own > set(f.conjuncts) for c in own for f in under.get(c, ())):
             return FALSE
         # map calls _given itself; a comprehension would add a frame per level.
-        return And(*map(_given, phi.conjuncts, repeat(holds), repeat(fails)))
+        return And(*map(_given, phi.conjuncts, repeat(holds), repeat(fails), repeat(under)))
     return phi
 
 
@@ -268,12 +273,16 @@ def _in_context(conjuncts: list[Formula]) -> list[Formula]:
         # Conjuncts are not conjunctions, so only a negation has others inside.
         return conjuncts
     holds = set(conjuncts)
+    under: dict[Formula, list[And]] = {}
+    for f in fails:
+        if isinstance(f, And):
+            under.setdefault(f.conjuncts[0], []).append(f)
     result = []
     for conjunct in conjuncts:
         negated = conjunct.operand if isinstance(conjunct, Not) else None
         holds.discard(conjunct)
         fails.discard(negated)
-        result.append(_given(conjunct, holds, fails))
+        result.append(_given(conjunct, holds, fails, under))
         holds.add(conjunct)
         if negated is not None:
             fails.add(negated)
@@ -348,11 +357,7 @@ class Verdict(_Resolved):
     __slots__ = ("formula",)
 
     def __new__(cls, formula: Formula) -> Verdict:
-        return intern(_VERDICTS, (formula,), cls, (formula, formula is TRUE, formula is FALSE))
-
-
-# Every verdict ever built, keyed by its formula.
-_VERDICTS: dict[tuple[Formula], Verdict] = {}
+        return intern(cls, (formula,), (formula, formula is TRUE, formula is FALSE))
 
 
 # The parser binds ``!`` and ``X`` tightest, then ``U`` (to the right), then

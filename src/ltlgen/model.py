@@ -9,11 +9,11 @@ once.  An :class:`EnvSession` exposes the two observations an episode needs
 from the model: the enabled actions of the current state and the sampled
 successor of an executed action.
 
-Actions are hash-consed like formula nodes (``formula.Interned``): one
-object per distinct action, shared by every model that enables it, and
-compared and hashed by identity.  States and the model are immutable
-``formula.Frozen`` objects: a state compares by identity too, since ids
-repeat across models.  A widget is a named tuple the loader validates and
+Actions are hash-consed like formula nodes (``formula.Interned``), in the
+table of their class: one object per distinct action, shared by every model
+that enables it, and compared and hashed by identity.  States and the model
+are immutable ``formula.Frozen`` objects: a state compares by identity too,
+since ids repeat across models.  A widget is a named tuple the loader validates and
 reads; a loaded state keeps only what its widgets show a formula.
 
 The pre-launch don't-care state is implicit: it is never listed in a file,
@@ -78,14 +78,10 @@ class GuiAction(_Signed):
     ) -> GuiAction:
         key = (action_type, params, target, detail)
         observed = {"actionType": (action_type,), "actionDetail": (detail,), "actionObjectID": (target,)}
-        return intern(_ACTIONS, key, cls, key + ((action_type, params, target), observed))
+        return intern(cls, key, key + ((action_type, params, target), observed))
 
     def describe(self) -> str:
         return " ".join((self.action_type,) + self.params)
-
-
-# Every action ever built, keyed by its fields.
-_ACTIONS: dict[tuple[str, tuple[str, ...], str, str], GuiAction] = {}
 
 
 class GuiState(Frozen):

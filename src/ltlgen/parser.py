@@ -30,7 +30,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-_KEY_RE = re.compile(r"\w+")
 _WORD_RE = re.compile(r"[A-Za-z]+")
 _KEYWORDS = frozenset(("true", "false", "U", "X", "F", "G"))
 
@@ -48,10 +47,6 @@ def _predicate(body: str, pos: int) -> AtomicProposition:
     split = min(candidates)
     key = body[:split].strip()
     value = body[split + 1:].strip()
-    if not _KEY_RE.fullmatch(key):
-        raise ParseError(f"bad predicate key {key!r}", pos)
-    if not value:
-        raise ParseError("empty predicate value", pos)
     try:
         return AtomicProposition(key, body[split], value)
     except ValueError as exc:

@@ -100,6 +100,17 @@ def test_misspelled_state_key_exit(tmp_path, capsys):
     assert capsys.readouterr().err == "formula error: no state of the model has the key 'activty'\n"
 
 
+def test_widget_key_no_widget_shows_exit(tmp_path, capsys):
+    # needle's widgets have no checked flag, so the key observes no value.
+    code = run(
+        "generate", "--model", NEEDLE, "--formula", "F [checked=true]",
+        "--episodes", "5", "-o", str(tmp_path / "t.json"),
+    )
+    assert code == EXIT_FORMULA_ERROR
+    assert not (tmp_path / "t.json").exists()
+    assert capsys.readouterr().err == "formula error: no state of the model has the key 'checked'\n"
+
+
 def test_model_error_exit(tmp_path, capsys):
     code = run(
         "generate", "--model", str(tmp_path / "absent.json"),

@@ -57,6 +57,11 @@ def test_a_conjunct_holds_inside_the_others():
     assert simplify(parse("[p=1] | ([p=1] & [q=1])")) == Atom(P)
     assert simplify(parse("[p=1] & !([p=1] & [q=1])")) == parse("[p=1] & ![q=1]")
     assert simplify(parse("[p=1] & ![p=1]")) == FALSE
+    # A negated conjunction falsifies a larger one that holds its conjuncts
+    # in another order, whichever of them comes first.
+    weaker = parse("!([q=1] & [p=1])")
+    assert simplify(parse("!([q=1] & [p=1]) & !([p=1] & [r=1] & [q=1])")) == weaker
+    assert simplify(parse("!([p=1] & [r=1] & [q=1]) & !([q=1] & [p=1])")) == weaker
     # The shape (F p) U (F q) takes after two steps: the inner copy of the
     # disjunction adds nothing.
     nested = parse("[q=1] | ([p=1] & ([q=1] | ([p=1] & X [q=1])))")
@@ -106,7 +111,7 @@ def test_structural_equality_after_simplify():
 
 @pytest.mark.parametrize(
     "key,op,value",
-    [("", "=", "v"), ("k", "?", "v"), ("k", "=", ""), ("actionTyp", "=", "click")],
+    [("", "=", "v"), ("a b", "=", "v"), ("k", "?", "v"), ("k", "=", ""), ("actionTyp", "=", "click")],
 )
 def test_atomic_proposition_validation(key, op, value):
     with pytest.raises(ValueError):

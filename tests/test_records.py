@@ -103,6 +103,23 @@ def test_predicates_are_one_object_per_value():
     assert AtomicProposition("a", "=", "x") is not AtomicProposition("a", "~", "x")
 
 
+def test_subclasses_intern_their_own_objects():
+    class Predicate(AtomicProposition):
+        __slots__ = ()
+
+    class Choice(engine.Decision):
+        __slots__ = ()
+
+    for base, sub, fields in (
+        (AtomicProposition, Predicate, ("a", "=", "x")),
+        (engine.Decision, Choice, ((), ("back", (), ""))),
+    ):
+        built = base(*fields)
+        own = sub(*fields)
+        assert type(own) is sub and own is not built
+        assert sub(*fields) is own and base(*fields) is built
+
+
 def test_labeling_text_sorts_by_fields_not_text():
     # As text "[ab=x]" sorts first; by (key, op, value), as the log always
     # has, "[a~x]" does.
