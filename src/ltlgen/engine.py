@@ -15,22 +15,23 @@ immediately, and if nothing survives the previous decision is charged with
 the dead end.
 
 Every table a step reads is a cached pure function of its arguments, kept
-for the life of the process: projection, the screening of an obligation
-over a state's enabled actions, the learner's candidates at a tail (a map
-from each surviving action's decision to that action, whose items a
-prediction carries), and the labeling of a step by its action and
-resulting state object.  The normal form of each input formula, which
-every run of it starts from, is cached the same way.
+for the life of the process: projection, the prediction for an obligation
+over a state's enabled actions at a tail, the learner's candidates at a
+tail (a map from each surviving action's decision to that action, whose
+items a continuing prediction carries), and the labeling of a step by its
+action and resulting state object.  The normal form of each input formula,
+which every run of it starts from, is cached the same way.
 
-A step builds only tuples: ``StepRecord`` and ``Prediction`` are named
-tuples, so a step record compares equal to the plain tuple of its values,
-and a verdict carries its resolved flags from when it was built.  The
-learner's step builds no dict either, and no decision except the one for
-an action that satisfies the obligation outright: it reads them from the
-candidate table.  Its only lists are the policy's, for a choice among two
-or more candidates; a lone candidate is taken without the softmax, at the
-cost of the one random draw every choice makes.  ``learn`` clamps each
-update to the vigilance bound with comparisons, not ``min``/``max`` calls.
+A step builds only its ``StepRecord``, a named tuple that compares equal
+to the plain tuple of its values.  A screened step reads its whole
+``Prediction`` from the cache in one lookup, and a verdict carries its
+resolved flags from when it was built.  The learner's step builds no dict
+either, and no decision except the one for an action that satisfies the
+obligation outright: it reads them from the candidate table.  Its only
+lists are the policy's, for a choice among two or more candidates; a lone
+candidate is taken without the softmax, at the cost of the one random draw
+every choice makes.  ``learn`` clamps each update to the vigilance bound
+with comparisons, not ``min``/``max`` calls.
 
 ``run_episode`` is the only loop that executes actions: the uniform
 baseline and replay run through it with a fixed way to pick each action,
@@ -294,24 +295,6 @@ def _normal_form(phi0: Formula) -> Formula:
 
 
 @functools.cache
-def _screen(
-    phi: Formula, enabled: tuple[GuiAction, ...], alphabet: frozenset
-) -> tuple[str, GuiAction | None, tuple[GuiAction, ...]]:
-    """Screening of an obligation over an enabled tuple, as (kind, the
-    action that satisfies it outright, the surviving actions)."""
-    expanded = expand(phi)
-    survivors = []
-    for action in enabled:
-        labels = action_labeling(action, alphabet)
-        residue = simplify(advance(restrict(expanded, labels, action_only=True)))
-        if residue is TRUE:
-            return SATISFIED, action, ()
-        if residue is not FALSE:
-            survivors.append(action)
-    return (CONTINUE if survivors else DEAD_END), None, tuple(survivors)
-
-
-@functools.cache
 def _candidates(tail: Tail, actions: tuple[GuiAction, ...]) -> ItemsView[Decision, GuiAction]:
     """The learner's choices among actions at a tail: the (decision, action)
     items of a map from each decision to its action, in action order.
@@ -319,6 +302,27 @@ def _candidates(tail: Tail, actions: tuple[GuiAction, ...]) -> ItemsView[Decisio
     them.  Every caller shares the map, so it is reached only through the
     view's read-only ``.mapping``."""
     return {Decision(tail, a.signature): a for a in actions}.items()
+
+
+@functools.cache
+def _predict(
+    phi: Formula, tail: Tail, enabled: tuple[GuiAction, ...], alphabet: frozenset
+) -> Prediction:
+    """Screening of an obligation over an enabled tuple at a tail: the
+    action that satisfies it outright, a dead end, or the learner's
+    candidates among the actions it does not falsify."""
+    expanded = expand(phi)
+    survivors = []
+    for action in enabled:
+        labels = action_labeling(action, alphabet)
+        residue = simplify(advance(restrict(expanded, labels, action_only=True)))
+        if residue is TRUE:
+            return Prediction(SATISFIED, action)
+        if residue is not FALSE:
+            survivors.append(action)
+    if not survivors:
+        return Prediction(DEAD_END)
+    return Prediction(CONTINUE, None, _candidates(tail, tuple(survivors)))
 
 
 @functools.cache
@@ -344,9 +348,9 @@ def prune_and_predict(
     projection is already true satisfies the formula regardless of the
     resulting state.  State-scope predicates stay symbolic here, so
     surviving actions still face the full projection after execution.
+    Cached whole: a repeated call returns the same ``Prediction`` object.
     """
-    kind, action, survivors = _screen(phi, tuple(enabled), alphabet)
-    return Prediction(kind, action, _candidates(tail, survivors) if survivors else ())
+    return _predict(phi, tail, tuple(enabled), alphabet)
 
 
 def learn(

@@ -18,6 +18,7 @@ an episode.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import repeat
 
 
@@ -101,10 +102,11 @@ def intern(cls: type, key: tuple, values: tuple):
 class AtomicProposition(Interned):
     """One bracketed predicate such as ``[activity~Main]`` or ``[actionType=back]``.
 
-    The key is one or more word characters and the value is not empty; the
-    parser leaves both checks to this constructor.  ``=`` demands exact
-    equality of the observed value; ``~`` demands case-sensitive substring
-    containment.  Predicates whose key starts with ``action`` describe the
+    The key is one or more word characters.  The value is not empty, has no
+    leading or trailing whitespace and no ``]``, so the predicate's text
+    parses back to it.  The parser leaves these checks to this constructor.
+    ``=`` demands exact equality of the observed value; ``~`` demands
+    case-sensitive substring containment.  Predicates whose key starts with ``action`` describe the
     action being executed, by one of ``_ACTION_KEYS``; all others describe
     the resulting state.
     """
@@ -118,6 +120,10 @@ class AtomicProposition(Interned):
             raise ValueError(f"predicate operator must be '=' or '~', got {op!r}")
         if not value:
             raise ValueError("predicate value must not be empty")
+        if value != value.strip() or "]" in value:
+            raise ValueError(
+                f"predicate value must not contain ']' or start or end with whitespace, got {value!r}"
+            )
         if key.startswith("action") and key not in _ACTION_KEYS:
             raise ValueError(f"action key must be one of {', '.join(_ACTION_KEYS)}, got {key!r}")
         values = (key, op, value)
@@ -248,9 +254,9 @@ def _given(phi: Formula, holds: set, fails: set, under: dict) -> Formula:
     in ``fails`` by falsity, looking through negations and conjunctions.  A
     conjunction is also false when the conjuncts of one in ``fails`` are a
     proper subset of its own: two of the same conjuncts in another order
-    would each make the other false.  ``under`` lists the conjunctions that
-    may be in ``fails`` by their first conjunct, so only those that share
-    it with a conjunction are compared with it."""
+    would each make the other false.  ``under`` lists each conjunction that
+    may be in ``fails`` under one of its conjuncts, so only those filed
+    under a conjunct of a conjunction are compared with it."""
     if phi in holds:
         return TRUE
     if phi in fails:
@@ -273,10 +279,13 @@ def _in_context(conjuncts: list[Formula]) -> list[Formula]:
         # Conjuncts are not conjunctions, so only a negation has others inside.
         return conjuncts
     holds = set(conjuncts)
+    conjunctions = [f for f in fails if isinstance(f, And)]
+    containing = Counter(c for f in conjunctions for c in f.conjuncts)
+    # Each under its rarest conjunct, so that conjunctions sharing one
+    # conjunct do not all land in one list.
     under: dict[Formula, list[And]] = {}
-    for f in fails:
-        if isinstance(f, And):
-            under.setdefault(f.conjuncts[0], []).append(f)
+    for f in conjunctions:
+        under.setdefault(min(f.conjuncts, key=containing.__getitem__), []).append(f)
     result = []
     for conjunct in conjuncts:
         negated = conjunct.operand if isinstance(conjunct, Not) else None

@@ -336,12 +336,14 @@ class EnvSession:
 
     The successor of a stochastic transition is sampled from the session's
     own seeded generator, so a fixed seed replays the same state sequence
-    for the same action sequence.
+    for the same action sequence.  The generator is seeded at its first
+    draw, so a session that meets no stochastic transition seeds none.
     """
 
     def __init__(self, model: AppModel, seed: int = 0):
         self.model = model
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: random.Random | None = None
         self.current = DONT_CARE
 
     def reset(self) -> None:
@@ -360,6 +362,8 @@ class EnvSession:
         if len(distribution) == 1:
             target = distribution[0][0]
         else:
+            if self._rng is None:
+                self._rng = random.Random(self._seed)
             roll = self._rng.random()
             acc = 0.0
             target = distribution[-1][0]

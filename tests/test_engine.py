@@ -384,12 +384,31 @@ def test_candidates_are_computed_once_per_key():
 
 def test_candidates_key_a_list_and_a_tuple_alike():
     phi = parse("[activity~Main]")
+    engine._predict.cache_clear()
     engine._candidates.cache_clear()
     from_list = prune_and_predict(phi, TAIL, [CLICK, BACK], frozenset())
     from_tuple = prune_and_predict(phi, TAIL, (CLICK, BACK), frozenset())
-    assert from_tuple.survivors is from_list.survivors
-    info = engine._candidates.cache_info()
+    assert from_tuple is from_list
+    info = engine._predict.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+    # Only the miss built the candidate table.
+    info = engine._candidates.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+
+
+def test_a_repeated_screening_returns_the_cached_prediction():
+    phi = parse("[activity~Main]")
+    alphabet = phi.alphabet
+    enabled = [CLICK, BACK, PAUSE]
+    first = prune_and_predict(phi, TAIL, enabled, alphabet)
+    assert prune_and_predict(phi, TAIL, enabled, alphabet) is first
+    other_tail = ((CLICK.signature, "settings"),)
+    other = prune_and_predict(phi, other_tail, enabled, alphabet)
+    assert other is not first
+    assert (other.kind, other.action) == (first.kind, first.action) == (CONTINUE, None)
+    assert [a for _, a in other.survivors] == [a for _, a in first.survivors] == enabled
+    assert all(d.tail == TAIL for d, _ in first.survivors)
+    assert all(d.tail == other_tail for d, _ in other.survivors)
 
 
 def test_actions_of_one_signature_make_one_decision_for_the_later_action():
@@ -667,3 +686,21 @@ def test_replay_reports_reliability_on_stochastic_model(flaky):
     assert 0.5 < rate < 0.9  # seeded draw around the 0.7 transition weight
     again = [replay(flaky, test, phi, seed=s).satisfied for s in range(40)]
     assert outcomes == again
+
+
+@pytest.mark.parametrize("engine", [generate, random_policy_generate])
+def test_only_a_stochastic_model_seeds_the_environment_generator(engine, needle, flaky, monkeypatch):
+    seeded = []
+    seed = random.Random.seed
+
+    def counted(self, *args, **kwargs):
+        seeded.append(self)
+        seed(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", counted)
+    engine(needle, parse(NEEDLE_B), LearnerConfig(episodes=20))
+    # The master, policy and swap generators; the session never draws.
+    assert len(seeded) == 3
+    seeded.clear()
+    engine(flaky, parse("X X [activity~Win]"), LearnerConfig(episodes=20))
+    assert len(seeded) == 4

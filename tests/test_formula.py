@@ -6,7 +6,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from ltlgen import (
     And,
@@ -26,6 +26,7 @@ from ltlgen import (
     render,
     simplify,
 )
+from ltlgen.formula import _ACTION_KEYS
 from ltlgen.progression import evaluate, projection
 from helpers import P, Q, has_redex, lab, random_formula
 
@@ -111,11 +112,33 @@ def test_structural_equality_after_simplify():
 
 @pytest.mark.parametrize(
     "key,op,value",
-    [("", "=", "v"), ("a b", "=", "v"), ("k", "?", "v"), ("k", "=", ""), ("actionTyp", "=", "click")],
+    [
+        ("", "=", "v"),
+        ("a b", "=", "v"),
+        ("k", "?", "v"),
+        ("k", "=", ""),
+        ("actionTyp", "=", "click"),
+        ("k", "=", " x"),
+        ("k", "~", "x\n"),
+        ("k", "=", "a]b"),
+    ],
 )
 def test_atomic_proposition_validation(key, op, value):
     with pytest.raises(ValueError):
         AtomicProposition(key, op, value)
+
+
+@given(
+    st.one_of(st.sampled_from(_ACTION_KEYS), st.from_regex(r"\w+", fullmatch=True)),
+    st.sampled_from("=~"),
+    st.text(min_size=1),
+)
+def test_every_predicate_the_constructor_accepts_parses_back(key, op, value):
+    try:
+        ap = AtomicProposition(key, op, value)
+    except ValueError:
+        reject()
+    assert parse(render(Atom(ap))) is Atom(ap)
 
 
 def test_matchers():

@@ -404,6 +404,24 @@ def test_fixed_seed_replays_stochastic_transitions(flaky):
     assert {"win", "lose"} <= set(roll(7, 60))
 
 
+def test_a_session_draws_as_a_generator_seeded_when_it_is_built(flaky):
+    start = GuiAction("reinitialize", ("StartActivity",))
+    spin = GuiAction("click", ("30", "30"), "0:0", "Spin")
+    distribution = flaky.transitions[("start", spin.signature)]
+    for seed in (0, 7, 2**64 - 1):
+        session = EnvSession(flaky, seed=seed)
+        reference = random.Random(seed)
+        for _ in range(40):
+            session.reset()
+            session.execute(start)
+            roll, acc = reference.random(), 0.0
+            for expected, weight in distribution:
+                acc += weight
+                if roll < acc:
+                    break
+            assert session.execute(spin).id == expected
+
+
 # --- labelings ---
 
 def test_state_labeling_matches_activities(chesswalk):

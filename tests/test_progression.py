@@ -271,18 +271,18 @@ def test_memoized_screening_matches_direct_pipeline(seed):
             else engine.DEAD_END if residue is FALSE
             else engine.CONTINUE
         )
-    engine._screen.cache_clear()
+    engine._predict.cache_clear()
     for _ in range(2):
         for action in ACTIONS:
             assert prune_and_predict(phi, (), [action], alphabet).kind == kinds[action]
     # One screening per distinct enabled tuple; every repeat is a hit.
-    info = engine._screen.cache_info()
+    info = engine._predict.cache_info()
     assert (info.misses, info.hits) == (len(ACTIONS), len(ACTIONS))
     # A list and a tuple of the same actions are one key and one prediction:
     # the first action that satisfies outright, or every one not falsified.
     prediction = prune_and_predict(phi, (), list(ACTIONS), alphabet)
-    assert prune_and_predict(phi, (), tuple(ACTIONS), alphabet) == prediction
-    info = engine._screen.cache_info()
+    assert prune_and_predict(phi, (), tuple(ACTIONS), alphabet) is prediction
+    info = engine._predict.cache_info()
     assert (info.misses, info.hits) == (len(ACTIONS) + 1, len(ACTIONS) + 1)
     shortcut = next((a for a in ACTIONS if kinds[a] == engine.SATISFIED), None)
     survivors = [] if shortcut else [a for a in ACTIONS if kinds[a] == engine.CONTINUE]
