@@ -392,7 +392,11 @@ def render(phi: Formula) -> str:
     if isinstance(phi, Next):
         return "X " + _wrap(phi.operand, _BINARY)
     if isinstance(phi, And):
-        return " & ".join(map(render, phi.conjuncts))
+        # A loop, not map: a call from C would add a frame per nesting level.
+        parts = []
+        for conjunct in phi.conjuncts:
+            parts.append(render(conjunct))
+        return " & ".join(parts)
     if isinstance(phi, Until):
         return _wrap(phi.left, _BINARY) + " U " + _wrap(phi.right, And)
     raise TypeError(f"not a formula: {phi!r}")

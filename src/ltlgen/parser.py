@@ -1,17 +1,27 @@
-"""Recursive-descent parser for formula text.
+"""Precedence-climbing parser for formula text (Pratt, "Top Down Operator
+Precedence", POPL 1973).
 
-Grammar (highest precedence last)::
+Binary operators, loosest first::
 
-    formula := disj ("->" formula)?
-    disj    := conj ("|" conj)*
-    conj    := until ("&" until)*
-    until   := unary ("U" until)?          # right-associative
-    unary   := ("!" | "X" | "F" | "G") unary | primary
-    primary := "true" | "false" | "[" key ("=" | "~") value "]" | "(" formula ")"
+    ->   1   right-associative
+    |    2   left-associative
+    &    3   n-ary: a run builds one flat ``And``
+    U    4   right-associative
+
+The prefix operators ``!``, ``X``, ``F`` and ``G`` bind tighter than all of
+them.  An operand is ``true``, ``false``, a predicate ``[key=value]`` or
+``[key~value]``, or a parenthesised formula.
 
 ``F``, ``G``, ``|``, ``->`` and ``false`` desugar during parsing, so the
 returned tree contains core connectives only.  The tree is not simplified.
 Tokens are named tuples, the package's record idiom (``formula.Interned``).
+
+Nesting is bounded by the interpreter's stack on purpose: each parenthesis,
+prefix operator or right-associative operator takes a frame or two, and a
+deeper input ends in ``ParseError("formula nests too deeply")``.  Every node
+keeps its alphabet as a frozenset, so a deep tree over distinct predicates
+costs memory in the product of its depth and its predicates while it is
+built; the frames keep that cost bounded.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .formula import And, Atom, AtomicProposition, Formula, Not, Next, TRUE, Until
+from .formula import And, Atom, AtomicProposition, FALSE, Formula, Not, Next, TRUE, Until
 
 
 class ParseError(ValueError):
@@ -89,6 +99,29 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _or(left: Formula, right: Formula) -> Formula:
+    return Not(And(Not(left), Not(right)))
+
+
+# Each binary operator's binding power, associativity and desugaring.  The
+# right operand of a right-associative operator binds at the operator's own
+# power, any other at the next one up; a run of an n-ary operator builds one
+# node.
+_BINARY = {
+    "->": (1, "right", lambda left, right: _or(Not(left), right)),
+    "|": (2, "left", _or),
+    "&": (3, "n-ary", And),
+    "U": (4, "right", Until),
+}
+_PREFIX = {
+    "!": Not,
+    "X": Next,
+    "F": lambda phi: Until(TRUE, phi),
+    "G": lambda phi: Not(Until(TRUE, Not(phi))),
+}
+_CONSTANT = {"true": TRUE, "false": FALSE}
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
@@ -102,84 +135,52 @@ class _Parser:
         self._i += 1
         return token
 
-    def formula(self) -> Formula:
-        left = self.disj()
-        if self._peek().kind == "->":
-            self._take()
-            right = self.formula()
-            return _or(Not(left), right)
-        return left
+    def expression(self, phi: Formula, floor: int = 1) -> Formula:
+        """``phi`` joined with each binary operator after it that binds at
+        ``floor`` or tighter.
 
-    def disj(self) -> Formula:
-        phi = self.conj()
-        while self._peek().kind == "|":
+        Each right operand is parsed from this frame, so a step of
+        ``a & X (b ...)`` costs three frames: this one and two of ``operand``.
+        """
+        while (kind := self._peek().kind) in _BINARY:
+            power, associativity, build = _BINARY[kind]
+            if power < floor:
+                break
+            right_floor = power if associativity == "right" else power + 1
             self._take()
-            phi = _or(phi, self.conj())
+            operands = [phi, self.expression(self.operand(), right_floor)]
+            while associativity == "n-ary" and self._peek().kind == kind:
+                self._take()
+                operands.append(self.expression(self.operand(), right_floor))
+            phi = build(*operands)
         return phi
 
-    def conj(self) -> Formula:
-        operands = [self.until()]
-        while self._peek().kind == "&":
-            self._take()
-            operands.append(self.until())
-        return And(*operands) if len(operands) > 1 else operands[0]
-
-    def until(self) -> Formula:
-        phi = self.unary()
-        if self._peek().kind == "U":
-            self._take()
-            return Until(phi, self.until())
-        return phi
-
-    def unary(self) -> Formula:
-        token = self._peek()
-        if token.kind == "!":
-            self._take()
-            return Not(self.unary())
-        if token.kind == "X":
-            self._take()
-            return Next(self.unary())
-        if token.kind == "F":
-            self._take()
-            return Until(TRUE, self.unary())
-        if token.kind == "G":
-            self._take()
-            return Not(Until(TRUE, Not(self.unary())))
-        return self.primary()
-
-    def primary(self) -> Formula:
+    def operand(self) -> Formula:
         token = self._take()
-        if token.kind == "true":
-            return TRUE
-        if token.kind == "false":
-            return Not(TRUE)
+        if token.kind in _PREFIX:
+            return _PREFIX[token.kind](self.operand())
+        if token.kind in _CONSTANT:
+            return _CONSTANT[token.kind]
         if token.kind == "atom":
             assert token.atom is not None
             return Atom(token.atom)
         if token.kind == "(":
-            phi = self.formula()
+            phi = self.expression(self.operand())
             closing = self._take()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.pos)
             return phi
         raise ParseError(f"expected a formula, found {token.kind!r}", token.pos)
 
-    def finish(self) -> None:
-        token = self._peek()
-        if token.kind != "end":
-            raise ParseError(f"unexpected {token.kind!r} after formula", token.pos)
-
-
-def _or(left: Formula, right: Formula) -> Formula:
-    return Not(And(Not(left), Not(right)))
-
 
 def parse(text: str) -> Formula:
     """Parse formula text into a desugared, unsimplified tree."""
     parser = _Parser(_tokenize(text))
     try:
-        phi = parser.formula()
+        phi = parser.expression(parser.operand())
     except RecursionError:
         raise ParseError("formula nests too deeply", parser._peek().pos) from None
-    parser.finish()
+    token = parser._peek()
+    if token.kind != "end":
+        raise ParseError(f"unexpected {token.kind!r} after formula", token.pos)
     return phi

@@ -310,6 +310,28 @@ def test_deep_nesting_exits_with_one_line(name, tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+def _step_sequence(steps):
+    """A ``steps``-step spec of the paper's shape: ``a & X (b & X (...))``."""
+    text = "[activity~End]"
+    for _ in range(steps - 2):
+        text = f"[actionType=click] & X ({text})"
+    return f"[actionType=reinitialize] & X ({text})"
+
+
+def test_a_long_step_sequence_runs_at_the_default_recursion_limit(tmp_path, capsys):
+    formula = tmp_path / "steps.txt"
+    formula.write_text(_step_sequence(240))
+    test_file = tmp_path / "t.json"
+    test_file.write_text('[{"type": "reinitialize", "params": ["MainActivity"]}]')
+    inputs = ("--model", CHESSWALK, "--formula-file", str(formula))
+    generate = ("generate", *inputs, "--episodes", "20", "-o", str(tmp_path / "out.json"))
+    for argv in (generate, (*generate, "--log", str(tmp_path / "log.txt")),
+                 ("replay", *inputs, "--test", str(test_file))):
+        assert run(*argv) in (EXIT_OK, EXIT_EXHAUSTED)
+        assert capsys.readouterr().err == ""
+    assert (tmp_path / "log.txt").stat().st_size > 0
+
+
 def test_a_long_conjunction_runs_at_a_low_recursion_limit(tmp_path, capsys):
     # A conjunction is one flat node, so its length adds no nesting.
     formula = " & ".join(f"X [activity~A{i}]" for i in range(2000))

@@ -490,6 +490,22 @@ def test_dead_end_charges_the_previous_decision():
     assert store.q1[reinit_decision] < 0 or store.q2[reinit_decision] < 0
 
 
+def test_dead_end_charge_is_what_the_learner_learns(monkeypatch):
+    # The log's reward comes from the record; this checks the value learned.
+    calls = []
+
+    def spy(store, decision, reward, *args, **kwargs):
+        calls.append((decision, reward))
+        return learn(store, decision, reward, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "learn", spy)
+    model = model_from_dict(lobby_model())
+    phi = parse("X ([actionType=click] & [activity~Lobby])")
+    log = run_episode(EnvSession(model, seed=0), phi, QStore(), LearnerConfig())
+    assert log.outcome == "dead_end"
+    assert calls[-1] == (Decision((), ("reinitialize", ("LobbyActivity",), "")), -1.0)
+
+
 def test_step_labels_tell_apart_actions_with_one_signature():
     # Both states show widget 0:0 in one place, so clicking it has the same
     # signature and the same successor in both; only the widget text, and so

@@ -243,6 +243,17 @@ def test_simplify_keeps_the_meaning(phi):
             assert evaluate(trace, position, once) == evaluate(trace, position, phi)
 
 
+def test_reordered_negated_conjunction_is_not_its_own_context():
+    # Each negation sits in the other's context with the same conjuncts in
+    # another order; only a proper subset may be replaced by falsity.
+    phi = simplify(parse("!([p=1] & [q=1]) & !([q=1] & [p=1])"))
+    assert phi != TRUE
+    one = parse("!([p=1] & [q=1])")
+    for trace in SHORT_TRACES:
+        for position in range(len(trace) + 1):
+            assert evaluate(trace, position, phi) == evaluate(trace, position, one)
+
+
 # --- hash-consed nodes ---
 
 R = AtomicProposition("actionType", "=", "click")

@@ -106,6 +106,40 @@ def test_rejects_malformed_text(text):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("([p=1]", "expected ')'", 6),
+        ("[p=1])", "unexpected ')' after formula", 5),
+        ("[p=1] [q=1]", "unexpected 'atom' after formula", 6),
+        ("(X [p=1] [q=1])", "expected ')'", 9),
+        ("X ( [p=1] U [q=1] ", "expected ')'", 18),
+        ("-> [p=1]", "expected a formula, found '->'", 0),
+        ("[p=1] U", "expected a formula, found 'end'", 7),
+        ("G )", "expected a formula, found ')'", 2),
+        ("( )", "expected a formula, found ')'", 2),
+        ("([p=1] | ) & [q=1]", "expected a formula, found ')'", 9),
+        ("", "expected a formula, found 'end'", 0),
+        ("!", "expected a formula, found 'end'", 1),
+        ("[p=1] &", "expected a formula, found 'end'", 7),
+        ("[p=1] & & [q=1]", "expected a formula, found '&'", 8),
+        ("[p=1] -> -> [q=1]", "expected a formula, found '->'", 9),
+        ("[p=1] U [q=1] ) & [q=1]", "unexpected ')' after formula", 14),
+        ("[p=1] -> [q=1] true", "unexpected 'true' after formula", 15),
+        ("[p=1] | true false", "unexpected 'false' after formula", 13),
+        ("R [p=1]", "unknown operator 'R'", 0),
+        ("F ( [p=1] -> [q=1] ] ", "unexpected character ']'", 19),
+        ("[p=1", "unterminated predicate", 0),
+        ("[p]", "predicate needs '=' or '~'", 0),
+    ],
+)
+def test_parse_error_names_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.position == position
+    assert str(info.value) == f"{message} (at position {position})"
+
+
 @pytest.mark.parametrize("text", ["[actionTyp=click]", "X [action=back]", "true & [actionobjectID=0:1]"])
 def test_rejects_an_action_key_no_action_has(text):
     with pytest.raises(ParseError) as info:
