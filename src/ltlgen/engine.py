@@ -16,18 +16,18 @@ the dead end.
 
 Every table a step reads is a cached pure function of its arguments, kept
 for the life of the process: projection, the prediction for an obligation
-over a state's enabled actions at a tail, the learner's candidates at a
-tail (a map from each surviving action's decision to that action, whose
-items a continuing prediction carries), and the labeling of a step by its
+over a state's enabled actions at a tail, screened or not (a continuing
+prediction carries the learner's candidates: a map from each surviving
+action's decision to that action), and the labeling of a step by its
 action and resulting state object.  The normal form of each input formula,
 which every run of it starts from, is cached the same way.
 
 A step builds only its ``StepRecord``, a named tuple that compares equal
-to the plain tuple of its values.  A screened step reads its whole
+to the plain tuple of its values.  A learner step reads its whole
 ``Prediction`` from the cache in one lookup, and a verdict carries its
 resolved flags from when it was built.  The learner's step builds no dict
 either, and no decision except the one for an action that satisfies the
-obligation outright: it reads them from the candidate table.  Its only
+obligation outright: it reads them from the prediction.  Its only
 lists are the policy's, for a choice among two or more candidates; a lone
 candidate is taken without the softmax, at the cost of the one random draw
 every choice makes.  ``learn`` clamps each update to the vigilance bound
@@ -275,7 +275,7 @@ CONTINUE = "continue"
 
 class Prediction(NamedTuple):
     """Outcome of pre-execution action screening; a CONTINUE prediction's
-    ``survivors`` are the (decision, action) items of ``_candidates``' map."""
+    ``survivors`` are the learner's (decision, action) candidates."""
 
     kind: str
     action: GuiAction | None = None
@@ -295,34 +295,37 @@ def _normal_form(phi0: Formula) -> Formula:
 
 
 @functools.cache
-def _candidates(tail: Tail, actions: tuple[GuiAction, ...]) -> ItemsView[Decision, GuiAction]:
-    """The learner's choices among actions at a tail: the (decision, action)
-    items of a map from each decision to its action, in action order.
-    Actions of one signature make one decision, which maps to the last of
-    them.  Every caller shares the map, so it is reached only through the
-    view's read-only ``.mapping``."""
-    return {Decision(tail, a.signature): a for a in actions}.items()
-
-
-@functools.cache
 def _predict(
-    phi: Formula, tail: Tail, enabled: tuple[GuiAction, ...], alphabet: frozenset
+    phi: Formula,
+    tail: Tail,
+    enabled: tuple[GuiAction, ...],
+    alphabet: frozenset,
+    screen: bool = True,
 ) -> Prediction:
     """Screening of an obligation over an enabled tuple at a tail: the
     action that satisfies it outright, a dead end, or the learner's
-    candidates among the actions it does not falsify."""
-    expanded = expand(phi)
-    survivors = []
-    for action in enabled:
-        labels = action_labeling(action, alphabet)
-        residue = simplify(advance(restrict(expanded, labels, action_only=True)))
-        if residue is TRUE:
-            return Prediction(SATISFIED, action)
-        if residue is not FALSE:
-            survivors.append(action)
-    if not survivors:
-        return Prediction(DEAD_END)
-    return Prediction(CONTINUE, None, _candidates(tail, tuple(survivors)))
+    candidates among the actions it does not falsify; unscreened, among
+    all of them.
+
+    The candidates are the (decision, action) items of a map from each
+    decision to its action, in action order.  Actions of one signature
+    make one decision, which maps to the last of them.  Every caller
+    shares the map, so it is reached only through the view's read-only
+    ``.mapping``."""
+    survivors = enabled
+    if screen:
+        expanded = expand(phi)
+        survivors = []
+        for action in enabled:
+            labels = action_labeling(action, alphabet)
+            residue = simplify(advance(restrict(expanded, labels, action_only=True)))
+            if residue is TRUE:
+                return Prediction(SATISFIED, action)
+            if residue is not FALSE:
+                survivors.append(action)
+        if not survivors:
+            return Prediction(DEAD_END)
+    return Prediction(CONTINUE, None, {Decision(tail, a.signature): a for a in survivors}.items())
 
 
 @functools.cache
@@ -472,7 +475,7 @@ def run_episode(
             if config.predict:
                 prediction = prune_and_predict(phi, tail, enabled, alphabet)
             else:
-                prediction = Prediction(CONTINUE, survivors=_candidates(tail, tuple(enabled)))
+                prediction = _predict(phi, tail, tuple(enabled), alphabet, False)
             if prediction.kind == DEAD_END:
                 # Its labels are already stored and its tail seen, so learn needs no labels.
                 if previous is not None:

@@ -20,6 +20,7 @@ from ltlgen import (
     QStore,
     TRUE,
     anneal,
+    atom_set,
     decide_next_action,
     generate,
     learn,
@@ -345,55 +346,65 @@ def test_prune_detects_satisfaction_from_labels_alone():
     assert result.action == BACK
 
 
-# --- candidate cache ---
+# --- candidate table ---
 
 TAIL = ((BACK.signature, "main"),)
+# No action predicate, so screening keeps every action.
+MAIN = parse("[activity~Main]")
+
+
+def candidates(tail, actions):
+    """The learner's candidates among actions at a tail, screened and unscreened."""
+    screened = prune_and_predict(MAIN, tail, actions, frozenset())
+    unscreened = engine._predict(MAIN, tail, tuple(actions), frozenset(), False)
+    return screened.survivors, unscreened.survivors
 
 
 def test_candidates_pair_each_action_with_its_decision():
     actions = (CLICK, BACK, PAUSE)
-    pairs = engine._candidates(TAIL, actions)
-    by_decision = pairs.mapping
-    decisions = tuple(by_decision)
     expected = [(Decision(TAIL, a.signature), a) for a in actions]
-    assert len(pairs) == len(expected)
-    for (decision, action), (want_decision, want_action) in zip(pairs, expected):
-        assert decision is want_decision and action is want_action
-    assert decisions == tuple(d for d, _ in expected)
-    assert by_decision == dict(expected)
-    # Every caller shares the cached map, so it is read-only.
-    with pytest.raises(TypeError):
-        by_decision[decisions[0]] = BACK
+    for pairs in candidates(TAIL, actions):
+        by_decision = pairs.mapping
+        decisions = tuple(by_decision)
+        assert len(pairs) == len(expected)
+        for (decision, action), (want_decision, want_action) in zip(pairs, expected):
+            assert decision is want_decision and action is want_action
+        assert decisions == tuple(d for d, _ in expected)
+        assert by_decision == dict(expected)
+        # Every caller shares the cached map, so it is read-only.
+        with pytest.raises(TypeError):
+            by_decision[decisions[0]] = BACK
 
 
 def test_candidates_are_computed_once_per_key():
     actions = (PAUSE, CLICK)
-    engine._candidates.cache_clear()
-    first = engine._candidates(TAIL, actions)
-    again = engine._candidates(TAIL, actions)
+    engine._predict.cache_clear()
+    first = engine._predict(MAIN, TAIL, actions, frozenset(), False)
+    again = engine._predict(MAIN, TAIL, actions, frozenset(), False)
     assert again is first
     assert all(
         decision is first_decision and action is first_action
         for (decision, action), (first_decision, first_action) in zip(
-            again.mapping.items(), first.mapping.items()
+            again.survivors, first.survivors
         )
     )
-    info = engine._candidates.cache_info()
+    info = engine._predict.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+    # Screening is part of the key: the screened prediction is a key of its own.
+    screened = prune_and_predict(MAIN, TAIL, actions, frozenset())
+    assert screened is not first
+    assert screened.survivors.mapping == first.survivors.mapping
+    info = engine._predict.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
 
 
 def test_candidates_key_a_list_and_a_tuple_alike():
-    phi = parse("[activity~Main]")
     engine._predict.cache_clear()
-    engine._candidates.cache_clear()
-    from_list = prune_and_predict(phi, TAIL, [CLICK, BACK], frozenset())
-    from_tuple = prune_and_predict(phi, TAIL, (CLICK, BACK), frozenset())
+    from_list = prune_and_predict(MAIN, TAIL, [CLICK, BACK], frozenset())
+    from_tuple = prune_and_predict(MAIN, TAIL, (CLICK, BACK), frozenset())
     assert from_tuple is from_list
     info = engine._predict.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    # Only the miss built the candidate table.
-    info = engine._candidates.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
 
 
 def test_a_repeated_screening_returns_the_cached_prediction():
@@ -415,15 +426,38 @@ def test_actions_of_one_signature_make_one_decision_for_the_later_action():
     twin = GuiAction(CLICK.action_type, CLICK.params, CLICK.target, "Stop")
     assert twin is not CLICK and twin.signature == CLICK.signature
     enabled = (CLICK, BACK, twin)
-    pairs = engine._candidates(TAIL, enabled)
-    by_decision = pairs.mapping
-    decisions = tuple(by_decision)
-    # One entry per decision, so the twin's signature counts once.
-    assert len(pairs) == 2
-    # As dict() keeps them: one decision per signature, mapped to its last action.
-    assert by_decision == dict((Decision(TAIL, a.signature), a) for a in enabled)
-    assert decisions == (Decision(TAIL, CLICK.signature), Decision(TAIL, BACK.signature))
-    assert by_decision[decisions[0]] is twin
+    for pairs in candidates(TAIL, enabled):
+        by_decision = pairs.mapping
+        decisions = tuple(by_decision)
+        # One entry per decision, so the twin's signature counts once.
+        assert len(pairs) == 2
+        # As dict() keeps them: one decision per signature, mapped to its last action.
+        assert by_decision == dict((Decision(TAIL, a.signature), a) for a in enabled)
+        assert decisions == (Decision(TAIL, CLICK.signature), Decision(TAIL, BACK.signature))
+        assert by_decision[decisions[0]] is twin
+
+
+def test_an_unscreened_run_reads_its_predictions_from_the_screening_table(needle):
+    phi = parse(NEEDLE_B)
+    engine._predict.cache_clear()
+    result = generate(needle, phi, LearnerConfig(episodes=20, predict=False))
+    info = engine._predict.cache_info()
+    # One lookup per executed step, and a repeated key is not computed again.
+    assert info.hits + info.misses == result.stats.steps
+    assert info.hits > 0
+    # After the first step, screening drops the actions that are not clicks.
+    first = result.episodes[0].steps[0]
+    session = EnvSession(needle)
+    session.reset()
+    session.execute(first.action)
+    enabled = session.enabled_actions()
+    alphabet = atom_set(phi)
+    screened = prune_and_predict(first.formula, TAIL, enabled, alphabet)
+    assert screened.kind == CONTINUE and 0 < len(screened.survivors) < len(enabled)
+    unscreened = engine._predict(first.formula, TAIL, tuple(enabled), alphabet, False)
+    assert engine._predict(first.formula, TAIL, tuple(enabled), alphabet, False) is unscreened
+    assert (unscreened.kind, unscreened.action) == (CONTINUE, None)
+    assert [a for _, a in unscreened.survivors] == list(enabled)
 
 
 # --- episodes ---

@@ -254,6 +254,34 @@ def test_reordered_negated_conjunction_is_not_its_own_context():
             assert evaluate(trace, position, phi) == evaluate(trace, position, one)
 
 
+def test_conjunctions_of_negated_conjunctions_keep_their_meaning():
+    # Every conjunction of one to three building blocks over three
+    # predicates: literals, two-literal conjunctions, the six orders of
+    # p & q & r, and the negation of each conjunction.  The context rule
+    # meets each negated conjunction inside the others, in every order.
+    preds = (P, Q, AtomicProposition("r", "=", "1"))
+    literals = [f for ap in preds for f in (Atom(ap), Not(Atom(ap)))]
+    conjunctions = [
+        And(a, b)
+        for (i, a), (j, b) in itertools.combinations(enumerate(literals), 2)
+        if i // 2 != j // 2
+    ] + [And(*map(Atom, order)) for order in itertools.permutations(preds)]
+    blocks = literals + conjunctions + [Not(c) for c in conjunctions]
+    formulas = (
+        blocks
+        + [And(a, b) for a, b in itertools.permutations(blocks, 2)]
+        + [And(*c) for c in itertools.combinations(blocks, 3)]
+    )
+    assert (len(blocks), len(formulas)) == (42, 13244)
+    labelings = [Labeling(s) for n in range(4) for s in itertools.combinations(preds, n)]
+    for phi in formulas:
+        once = simplify(phi)
+        for labels in labelings:
+            holds = evaluate([labels], 0, phi)
+            assert evaluate([labels], 0, once) == holds, (phi, labels)
+            assert projection(once, labels).formula is (TRUE if holds else FALSE), (phi, labels)
+
+
 # --- hash-consed nodes ---
 
 R = AtomicProposition("actionType", "=", "click")
