@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .engine import ENGINES, EpisodeLog, GenerationResult, LearnerConfig, RunStats, replay
-from .formula import Formula, render
+from .formula import Formula, atom_set, render
 from .model import (
     ActionNotEnabled,
     AppModel,
@@ -144,7 +144,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[AppModel, Formula]:
     # A state key no state observes a value under would never hold, so a
     # typo, or a widget key no widget shows, would pass unseen.
     keys = {key for s in model.states.values() for key, values in s.observed.items() if values}
-    unknown = sorted({ap.key for ap in phi.alphabet if not ap.is_action} - keys)
+    unknown = sorted({ap.key for ap in atom_set(phi) if not ap.is_action} - keys)
     if unknown:
         raise ParseError(f"no state of the model has the key {unknown[0]!r}")
     return model, phi

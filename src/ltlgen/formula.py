@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from functools import cache
 from itertools import repeat
 
 
@@ -154,41 +155,33 @@ class Formula(Interned):
     Two trees are structurally equal exactly when they are the same node.
     A node class's table is keyed by the node's children (a conjunction's
     by its conjuncts), which are canonical nodes, so keys hash and compare
-    by identity.  Each node computes its predicate count (``atom_count``) and distinct
-    predicates (``alphabet``) once, when it is first built.
+    by identity.  Besides its children, a node keeps only its predicate
+    count (``atom_count``), computed once, when it is first built;
+    ``atom_set`` derives a formula's distinct predicates once per formula.
     """
 
-    __slots__ = ("atom_count", "alphabet")
-
-
-def _union(*alphabets: frozenset) -> frozenset:
-    # Reusing a child's set when it already is the union keeps large node
-    # tables about 15% smaller than building a new set per node.
-    widest = max(alphabets, key=len)
-    if all(alphabet <= widest for alphabet in alphabets):
-        return widest
-    return widest.union(*alphabets)
+    __slots__ = ("atom_count",)
 
 
 class Truth(Formula):
     __slots__ = ()
 
     def __new__(cls) -> Truth:
-        return intern(cls, (), (0, frozenset()))
+        return intern(cls, (), (0,))
 
 
 class Atom(Formula):
     __slots__ = ("ap",)
 
     def __new__(cls, ap: AtomicProposition) -> Atom:
-        return intern(cls, (ap,), (ap, 1, frozenset((ap,))))
+        return intern(cls, (ap,), (ap, 1))
 
 
 class Not(Formula):
     __slots__ = ("operand",)
 
     def __new__(cls, operand: Formula) -> Not:
-        return intern(cls, (operand,), (operand, operand.atom_count, operand.alphabet))
+        return intern(cls, (operand,), (operand, operand.atom_count))
 
 
 class And(Formula):
@@ -209,11 +202,7 @@ class And(Formula):
         key = tuple(conjuncts)
         if len(key) < 2:
             raise ValueError("a conjunction needs at least two conjuncts")
-        node = cls._table.get(key)
-        if node is None:
-            alphabet = _union(*[conjunct.alphabet for conjunct in key])
-            node = intern(cls, key, (key, sum(c.atom_count for c in key), alphabet))
-        return node
+        return intern(cls, key, (key, sum(c.atom_count for c in key)))
 
     def __reduce__(self):
         return And, self.conjuncts
@@ -223,16 +212,14 @@ class Next(Formula):
     __slots__ = ("operand",)
 
     def __new__(cls, operand: Formula) -> Next:
-        return intern(cls, (operand,), (operand, operand.atom_count, operand.alphabet))
+        return intern(cls, (operand,), (operand, operand.atom_count))
 
 
 class Until(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula) -> Until:
-        count = left.atom_count + right.atom_count
-        alphabet = _union(left.alphabet, right.alphabet)
-        return intern(cls, (left, right), (left, right, count, alphabet))
+        return intern(cls, (left, right), (left, right, left.atom_count + right.atom_count))
 
 
 TRUE = Truth()
@@ -244,9 +231,35 @@ def count_atoms(phi: Formula) -> int:
     return phi.atom_count
 
 
+@cache
 def atom_set(phi: Formula) -> frozenset[AtomicProposition]:
-    """The distinct predicates appearing anywhere in the formula."""
-    return phi.alphabet
+    """The distinct predicates appearing anywhere in the formula, computed
+    once per formula.
+
+    The walk keeps its own stack, so depth costs no frames, and visits each
+    distinct node once, so a shared subformula is read once however many
+    paths reach it."""
+    atoms = set()
+    seen = {phi}
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            atoms.add(node.ap)
+            continue
+        if isinstance(node, And):
+            children = node.conjuncts
+        elif isinstance(node, Until):
+            children = (node.left, node.right)
+        elif isinstance(node, (Not, Next)):
+            children = (node.operand,)
+        else:
+            children = ()
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return frozenset(atoms)
 
 
 def _given(phi: Formula, holds: set, fails: set, under: dict) -> Formula:

@@ -155,6 +155,16 @@ def _check_widget(raw: object, state_id: str, screen: tuple[int, int], source: s
     return Widget(raw["objectID"], text, (x1, y1, x2, y2), checked)
 
 
+def _params(raw: object) -> tuple[str, ...] | None:
+    """A JSON params list as the strings an action keeps, or None unless
+    every param is a string or an integer (not a boolean)."""
+    if not isinstance(raw, list) or not all(
+        isinstance(p, str) or (isinstance(p, int) and not isinstance(p, bool)) for p in raw
+    ):
+        return None
+    return tuple(map(str, raw))
+
+
 def _check_action(
     raw: object,
     state_id: str,
@@ -176,10 +186,9 @@ def _check_action(
         widget = widgets[raw["on"]]
         target = widget.object_id
         detail = widget.text
-    raw_params = raw.get("params", [])
-    if not isinstance(raw_params, list) or not all(isinstance(p, (str, int)) for p in raw_params):
+    params = _params(raw.get("params", []))
+    if params is None:
         raise _fail(source, f"state {state_id!r}: action {action_type!r} params must be strings or integers")
-    params = tuple(str(p) for p in raw_params)
     if action_type == "click":
         if not target:
             raise _fail(source, f"state {state_id!r}: click actions need an 'on' widget reference")
@@ -389,9 +398,7 @@ def action_labeling(action: GuiAction, alphabet: Iterable[AtomicProposition]) ->
 def _labeling(observed: Observed, alphabet: Iterable[AtomicProposition]) -> Labeling:
     # No key is observed by both states and actions, so each labeling skips
     # the predicates of the other kind.
-    return Labeling(
-        frozenset(ap for ap in alphabet if any(map(ap.matches, observed.get(ap.key, ()))))
-    )
+    return Labeling(ap for ap in alphabet if any(map(ap.matches, observed.get(ap.key, ()))))
 
 
 def save_test(path: str | Path, actions: Sequence[GuiAction]) -> None:
@@ -414,5 +421,8 @@ def load_test(path: str | Path) -> list[tuple[str, tuple[str, ...]]]:
             or not isinstance(entry.get("params", []), list)
         ):
             raise ModelError(f"{path}: record {index} must be {{'type': ..., 'params': [...]}}")
-        records.append((entry["type"], tuple(str(p) for p in entry.get("params", []))))
+        params = _params(entry.get("params", []))
+        if params is None:
+            raise ModelError(f"{path}: record {index} params must be strings or integers")
+        records.append((entry["type"], params))
     return records

@@ -16,12 +16,13 @@ them.  An operand is ``true``, ``false``, a predicate ``[key=value]`` or
 returned tree contains core connectives only.  The tree is not simplified.
 Tokens are named tuples, the package's record idiom (``formula.Interned``).
 
-Nesting is bounded by the interpreter's stack on purpose: each parenthesis,
-prefix operator or right-associative operator takes a frame or two, and a
-deeper input ends in ``ParseError("formula nests too deeply")``.  Every node
-keeps its alphabet as a frozenset, so a deep tree over distinct predicates
-costs memory in the product of its depth and its predicates while it is
-built; the frames keep that cost bounded.
+Nesting is bounded by the interpreter's stack: each parenthesis, prefix
+operator or right-associative operator takes a frame or two, and a deeper
+input ends in ``ParseError("formula nests too deeply")``.  The bound stays
+because the walkers that read a tree (``formula.render`` and
+``formula.simplify``, and progression's) recurse too, a frame or more per
+level, so a tree parsed past the frames would fail in them.  A node keeps
+only its children, so building a deep tree costs memory in its size alone.
 """
 
 from __future__ import annotations

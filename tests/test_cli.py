@@ -144,6 +144,25 @@ def test_malformed_model_value_exit(where, value, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"model error: {model}: {message}\n"
 
 
+@pytest.mark.parametrize("kind", ["model", "test"])
+def test_boolean_param_exit(kind, tmp_path, capsys):
+    data = json.loads((MODELS / "chesswalk_abstract.json").read_text())
+    test_records = [{"type": "reinitialize", "params": ["MainActivity"]}]
+    if kind == "model":
+        state = next(s for s in data["states"] if s["id"] == "main")
+        next(a for a in state["actions"] if "on" not in a)["params"] = [True]
+    else:
+        test_records[0]["params"] = [True]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    test_file = tmp_path / "t.json"
+    test_file.write_text(json.dumps(test_records))
+    code = run("replay", "--model", str(model), "--formula", "true", "--test", str(test_file))
+    assert code == EXIT_MODEL_ERROR
+    where = f"{model}: state 'main': action 'pauseresume'" if kind == "model" else f"{test_file}: record 0"
+    assert capsys.readouterr().err == f"model error: {where} params must be strings or integers\n"
+
+
 def test_bad_config_exit(tmp_path, capsys):
     code = run(
         "generate", "--model", CHESSWALK, "--formula", "true",

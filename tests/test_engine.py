@@ -409,7 +409,7 @@ def test_candidates_key_a_list_and_a_tuple_alike():
 
 def test_a_repeated_screening_returns_the_cached_prediction():
     phi = parse("[activity~Main]")
-    alphabet = phi.alphabet
+    alphabet = atom_set(phi)
     enabled = [CLICK, BACK, PAUSE]
     first = prune_and_predict(phi, TAIL, enabled, alphabet)
     assert prune_and_predict(phi, TAIL, enabled, alphabet) is first

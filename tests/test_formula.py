@@ -104,6 +104,31 @@ def test_atom_set_is_distinct():
     assert atom_set(phi) == frozenset((P, Q))
 
 
+def test_atom_set_visits_each_shared_node_once():
+    # 65 distinct nodes, and a path to the predicate for each of 2**64 leaves.
+    phi = Atom(P)
+    for _ in range(64):
+        phi = Until(phi, phi)
+    assert count_atoms(phi) == 2**64
+    assert atom_set(phi) == {P}
+
+
+def test_atom_set_takes_no_frame_per_level():
+    phi = Atom(P)
+    for _ in range(5000):
+        phi = Next(phi)
+    assert atom_set(phi) == {P}
+
+
+def test_atom_set_is_computed_once_per_formula():
+    phi = Until(Atom(AtomicProposition("cached", "=", "once")), Next(Atom(Q)))
+    before = atom_set.cache_info()
+    first = atom_set(phi)
+    assert atom_set(phi) is first
+    after = atom_set.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
 def test_structural_equality_after_simplify():
     left = simplify(parse("!![p=1] & true"))
     assert left == Atom(P)

@@ -169,6 +169,24 @@ def test_validation_rejects_click_with_params():
         model_from_dict(data)
 
 
+BAD_PARAMS = [True, [1, 2], {"a": 1}, 1.5, None]
+
+
+@pytest.mark.parametrize("param", BAD_PARAMS)
+def test_validation_rejects_params_other_than_strings_and_integers(param):
+    data = minimal_model()
+    data["states"][0]["actions"][1]["params"] = ["x", param]
+    with pytest.raises(ModelError, match="^<model>: state 'a': action 'back' params must be strings or integers$"):
+        model_from_dict(data)
+
+
+def test_integer_params_load_as_text():
+    data = minimal_model()
+    data["states"][0]["actions"][1]["params"] = ["x", 3]
+    actions = model_from_dict(data).enabled["a"]
+    assert [a.params for a in actions if a.action_type == "back"] == [("x", "3")]
+
+
 def test_validation_requires_positive_weights():
     data = minimal_model()
     data["states"][0]["actions"][0]["transitions"] = [{"to": "b", "weight": 0}]
@@ -536,3 +554,13 @@ def test_load_test_rejects_malformed_files(tmp_path):
     path.write_text('[{"params": []}]')
     with pytest.raises(ModelError, match="record 0"):
         load_test(path)
+
+
+@pytest.mark.parametrize("param", BAD_PARAMS)
+def test_load_test_rejects_params_other_than_strings_and_integers(param, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([{"type": "back", "params": []}, {"type": "scroll", "params": [1, param]}]))
+    with pytest.raises(ModelError, match="record 1 params must be strings or integers$"):
+        load_test(path)
+    path.write_text(json.dumps([{"type": "scroll", "params": ["up", 2]}]))
+    assert load_test(path) == [("scroll", ("up", "2"))]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -178,3 +180,16 @@ def test_round_trip_on_seeded_sample():
     for _ in range(300):
         phi = random_formula(rng, 8, [TRUE, Atom(P), Atom(Q), MAIN, ABOUT])
         assert parse(render(phi)) == phi
+
+
+def test_a_long_disjunction_parses_in_little_memory():
+    # A "|" run builds a left-deep tree without recursion; its nodes keep
+    # only their children, so memory grows with its length alone.
+    text = " | ".join(f"[activity~A{i}]" for i in range(2000))
+    tracemalloc.start()
+    try:
+        parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
