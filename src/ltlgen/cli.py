@@ -194,9 +194,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     model, phi = _load_inputs(args)
-    records = load_test(args.test)
     if args.times < 1:
         raise ValueError("--times must be >= 1")
+    records = load_test(args.test)
     satisfied = 0
     for attempt in range(args.times):
         log = replay(model, records, phi, seed=args.seed + attempt)

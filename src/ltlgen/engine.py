@@ -14,24 +14,34 @@ before execution, an action whose labels alone satisfy it is taken
 immediately, and if nothing survives the previous decision is charged with
 the dead end.
 
-Every table a step reads is a cached pure function of its arguments, kept
-for the life of the process: projection, the prediction for an obligation
-over a state's enabled actions at a tail, screened or not (a continuing
+Once its action has executed, a step reads one table, the run's edge
+table: a plain dict from (obligation, action, resulting state) to the
+step's action labels, labels, verdict and reward, the transitions of the
+formula's reward machine (see ``progression``) as the run meets them.
+``_drive`` makes one per run, and ``run_episode`` one per episode when it
+is given none.  Within a run the alphabet and the shaping flag are fixed,
+so neither is part of the key.  A run's first visit to an edge computes it
+from the tables below, so every run still calls ``projection`` once per
+edge it meets, and the table is freed with the run.
+
+Every other table is a cached pure function of its arguments, kept for the
+life of the process: projection, the prediction for an obligation over a
+state's enabled actions at a tail, screened or not (a continuing
 prediction carries the learner's candidates: a map from each surviving
 action's decision to that action), and the labeling of a step by its
 action and resulting state object.  The normal form of each input formula,
 which every run of it starts from, is cached the same way.
 
 A step builds only its ``StepRecord``, a named tuple that compares equal
-to the plain tuple of its values.  A learner step reads its whole
-``Prediction`` from the cache in one lookup, and a verdict carries its
-resolved flags from when it was built.  The learner's step builds no dict
-either, and no decision except the one for an action that satisfies the
-obligation outright: it reads them from the prediction.  Its only
-lists are the policy's, for a choice among two or more candidates; a lone
-candidate is taken without the softmax, at the cost of the one random draw
-every choice makes.  ``learn`` clamps each update to the vigilance bound
-with comparisons, not ``min``/``max`` calls.
+to the plain tuple of its values, and the key of its edge.  A learner step
+reads its whole ``Prediction`` from the cache in one lookup, and a verdict
+carries its resolved flags from when it was built.  The learner's step
+builds no dict either, and no decision except the one for an action that
+satisfies the obligation outright: it reads them from the prediction.  Its
+only lists are the policy's, for a choice among two or more candidates; a
+lone candidate is taken without the softmax, at the cost of the one random
+draw every choice makes.  ``learn`` clamps each update to the vigilance
+bound with comparisons, not ``min``/``max`` calls.
 
 ``run_episode`` is the only loop that executes actions: the uniform
 baseline and replay run through it with a fixed way to pick each action,
@@ -60,6 +70,7 @@ from .formula import (
     Interned,
     Labeling,
     TRUE,
+    Verdict,
     atom_set,
     intern,
     simplify,
@@ -81,6 +92,8 @@ Tail = tuple[tuple[ActionSig, str], ...]
 # Built from collections.abc: typing caches subscripted aliases, and that
 # cache would keep every re-imported copy of this package alive.
 Pick = Callable[[int, Sequence[GuiAction]], GuiAction]
+# A run's edge table; see the module docstring.
+Edges = dict[tuple[Formula, GuiAction, GuiState], tuple[Labeling, Labeling, Verdict, float]]
 
 
 class Decision(Interned):
@@ -441,6 +454,7 @@ def run_episode(
     policy_rng: random.Random | None = None,
     swap_rng: random.Random | None = None,
     pick: Pick | None = None,
+    edges: Edges | None = None,
 ) -> EpisodeLog:
     """Drive one episode from the don't-care state until the verdict resolves
     or the step budget runs out.  Clears the eligibility trace first.
@@ -448,6 +462,11 @@ def run_episode(
     Without ``pick`` the learner screens, chooses and learns.  With it, step
     ``k`` executes ``pick(k, enabled)`` and nothing is screened or learned;
     the uniform baseline and replay are such picks.
+
+    ``edges`` is the run's edge table, shared by its episodes; without it
+    the episode starts an empty one.  An entry holds for one alphabet and
+    one ``config.shaping``, so a table is shared only by episodes of one
+    formula and one config.
     """
     if temperature is None:
         temperature = config.t0
@@ -459,6 +478,8 @@ def run_episode(
         master = random.Random(config.seed)
         policy_rng = policy_rng or random.Random(master.getrandbits(64))
         swap_rng = swap_rng or random.Random(master.getrandbits(64))
+    if edges is None:
+        edges = {}
     session.reset()
     store.elig.clear()
     alphabet = atom_set(phi0)
@@ -494,9 +515,14 @@ def run_episode(
                 )
                 action = by_decision[decision]
         state = session.execute(action)
-        action_labels, labels = _step_labels(action, state, alphabet)
-        verdict = projection(phi, labels)
-        reward = shaped_reward(phi, verdict, config.shaping)
+        key = (phi, action, state)
+        edge = edges.get(key)
+        if edge is None:
+            action_labels, labels = _step_labels(action, state, alphabet)
+            verdict = projection(phi, labels)
+            reward = shaped_reward(phi, verdict, config.shaping)
+            edge = edges[key] = (action_labels, labels, verdict, reward)
+        action_labels, labels, verdict, reward = edge
         if pick is None:
             learn(store, decision, reward, config, eta, swap_rng, action_labels=action_labels)
             previous = decision
@@ -531,6 +557,7 @@ def _drive(
     swap_rng = random.Random(master.getrandbits(64))
     session = EnvSession(model, seed=master.getrandbits(64))
     store = QStore()
+    edges: Edges = {}
     pick = None if policy is None else policy(policy_rng)
     temperature, epsilon, eta = config.t0, config.eps0, config.eta0
     start = time.monotonic()
@@ -550,6 +577,7 @@ def _drive(
             policy_rng=policy_rng,
             swap_rng=swap_rng,
             pick=pick,
+            edges=edges,
         )
         logs.append(log)
         total_steps += len(log.steps)

@@ -413,6 +413,9 @@ def load_test(path: str | Path) -> list[tuple[str, tuple[str, ...]]]:
     data = _read_json(path)
     if not isinstance(data, list):
         raise ModelError(f"{path}: test file must be a JSON list of action records")
+    if not data:
+        # A replay of no actions ends exhausted, as if a budget had run out.
+        raise ModelError(f"{path}: test file has no action records")
     records = []
     for index, entry in enumerate(data):
         if (

@@ -10,7 +10,9 @@ operator are left symbolic for the following step.
 Projection is a pure function of (obligation, labeling), and a run meets
 only a handful of either, so it is a cached function of the two: its cache
 holds the obligation-to-obligation edges of an automaton built on the fly,
-the reward machine of the formula.
+the reward machine of the formula.  An executed step reads that machine's
+transitions through its run's edge table (see ``engine``), which calls
+``projection`` at the run's first visit to each edge.
 """
 
 from __future__ import annotations

@@ -67,3 +67,30 @@ def test_tracer_and_counters_install_run_and_restore(needle):
 
     for (owner, attr), original in originals.items():
         assert getattr(tracing.resolve(ltlgen, owner), attr) is original, (owner, attr)
+
+
+def test_counted_projection_keys_are_the_runs_distinct_steps(needle):
+    # Each run computes every edge it meets, so the counter pass sees each
+    # (obligation, labels) pair of its run; a table that outlived the run
+    # would hide the pairs an earlier run met.
+    tracing = _tracing()
+    phi = parse(NEEDLE_B)
+    patches = tracing.Patches()
+    counters = tracing.LayerCounters(ltlgen)
+    try:
+        counters.install(ltlgen, patches)
+        result = ltlgen.engine.generate(needle, phi, LearnerConfig(seed=0))
+    finally:
+        patches.restore()
+    pairs = set()
+    for log in result.episodes:
+        before = ltlgen.engine._normal_form(phi)
+        for record in log.steps:
+            pairs.add((before, record.labels))
+            before = record.formula
+    counted = counters.metrics()["progression.projection.distinct_keys"]
+    assert counted == len(pairs), (
+        "progression.projection.distinct_keys no longer counts the run's "
+        "distinct (obligation, labels) steps: is projection skipped for edges "
+        "an earlier run computed?"
+    )

@@ -201,6 +201,15 @@ def test_zero_repetitions_exit(command, flag, tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_empty_test_file_exit(tmp_path, capsys):
+    # A replay of no actions would end exhausted, as if a budget had run out.
+    test_file = tmp_path / "t.json"
+    test_file.write_text("[]")
+    code = run("replay", "--model", CHESSWALK, "--formula", "true", "--test", str(test_file))
+    assert code == EXIT_MODEL_ERROR
+    assert capsys.readouterr() == ("", f"model error: {test_file}: test file has no action records\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", FLOAT_FLAGS)
 def test_non_finite_config_exit(flag, value, tmp_path, capsys):

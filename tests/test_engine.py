@@ -460,6 +460,91 @@ def test_an_unscreened_run_reads_its_predictions_from_the_screening_table(needle
     assert [a for _, a in unscreened.survivors] == list(enabled)
 
 
+# --- the run's edge table ---
+
+def edge_spies(monkeypatch):
+    """Record the arguments of every projection and shaped reward the engine
+    computes, and every state an executed action leads to."""
+    calls = {"projection": [], "shaped_reward": [], "states": []}
+    projection, shaped_reward, execute = engine.projection, engine.shaped_reward, EnvSession.execute
+
+    def spy_projection(phi, labels):
+        calls["projection"].append((phi, labels))
+        return projection(phi, labels)
+
+    def spy_shaped_reward(phi, verdict, shaping=True):
+        calls["shaped_reward"].append((phi, verdict.formula))
+        return shaped_reward(phi, verdict, shaping)
+
+    def spy_execute(session, action):
+        state = execute(session, action)
+        calls["states"].append(state)
+        return state
+
+    monkeypatch.setattr(engine, "projection", spy_projection)
+    monkeypatch.setattr(engine, "shaped_reward", spy_shaped_reward)
+    monkeypatch.setattr(EnvSession, "execute", spy_execute)
+    return calls
+
+
+def first_visits(phi0, logs, states):
+    """Each distinct (obligation, action, resulting state) the episodes met,
+    in order, with the record of its first step."""
+    states = iter(states)
+    visits = {}
+    for log in logs:
+        phi = engine._normal_form(phi0)
+        for record in log.steps:
+            visits.setdefault((phi, record.action, next(states)), record)
+            phi = record.formula
+    assert next(states, None) is None
+    return visits
+
+
+@pytest.mark.parametrize("engine_fn", [generate, random_policy_generate])
+def test_a_run_computes_each_edge_once(engine_fn, needle, monkeypatch):
+    calls = edge_spies(monkeypatch)
+    phi = parse(NEEDLE_B)
+    result = engine_fn(needle, phi, LearnerConfig(seed=0))
+    visits = first_visits(phi, result.episodes, calls["states"])
+    assert len(visits) < result.stats.steps
+    expected_projections = [(edge[0], record.labels) for edge, record in visits.items()]
+    expected_rewards = [(edge[0], record.formula) for edge, record in visits.items()]
+    assert calls["projection"] == expected_projections
+    assert calls["shaped_reward"] == expected_rewards
+    # The table is the run's: a second run of the seed computes its edges again.
+    for values in calls.values():
+        values.clear()
+    engine_fn(needle, phi, LearnerConfig(seed=0))
+    assert calls["projection"] == expected_projections
+    assert calls["shaped_reward"] == expected_rewards
+
+
+def test_replay_starts_its_own_edge_table(needle, monkeypatch):
+    phi = parse(NEEDLE_B)
+    result = generate(needle, phi, LearnerConfig(seed=0))
+    calls = edge_spies(monkeypatch)
+    logs = [replay(needle, result.test, phi), replay(needle, result.test, phi)]
+    visits = first_visits(phi, logs[:1], calls["states"][: len(logs[0].steps)])
+    assert len(calls["projection"]) == len(calls["shaped_reward"]) == 2 * len(visits)
+
+    def records(log):
+        return [tuple(record) for record in log.steps]
+
+    assert records(logs[0]) == records(logs[1]) == records(result.episodes[-1])
+    # An episode reading a warm table logs what a fresh table gives.
+    edges = {}
+    session = EnvSession(needle)
+    config = LearnerConfig(steps=len(result.test))
+    for _ in range(2):
+        log = run_episode(
+            session, engine._normal_form(phi), QStore(), config,
+            pick=lambda k, enabled: result.test[k], edges=edges,
+        )
+        assert records(log) == records(logs[0])
+    assert len(edges) == len(visits)
+
+
 # --- episodes ---
 
 def single_path_model() -> dict:

@@ -20,16 +20,21 @@ from ltlgen import (
     QStore,
     TRUE,
     Until,
+    Verdict,
     action_labeling,
+    advance,
     atom_set,
     decide_next_action,
+    expand,
     learn,
     model_from_dict,
     parse,
     policy_probabilities,
     random_policy_generate,
     replay,
+    restrict,
     run_episode,
+    shaped_reward,
     simplify,
     state_labeling,
 )
@@ -160,6 +165,46 @@ def test_memoized_step_labels_equal_direct_labeling(model_a, model_b, phi, seed)
                 state, state_alphabet
             )
             assert record.labels == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    models(stochastic=True), models(stochastic=True), formulas, st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_edge_table_entries_equal_direct_progression(model_a, model_b, phi, shaping, seed):
+    # Each model's episodes share one edge table, as a run's do, on the
+    # learner path and the pick path alike.
+    alphabet = atom_set(phi)
+    action_alphabet = frozenset(ap for ap in alphabet if ap.is_action)
+    state_alphabet = alphabet - action_alphabet
+    sessions = [RecordingSession(model_a, seed=seed), RecordingSession(model_b, seed=seed)]
+    config = LearnerConfig(steps=5, seed=seed, shaping=shaping)
+    stores = [QStore(), QStore()]
+    tables = ({}, {})
+    logs = ([], [])
+    for index in range(8):
+        which = index % 2
+        pick = None if index // 2 % 2 else (lambda k, enabled: enabled[0])
+        logs[which].append(
+            run_episode(sessions[which], phi, stores[which], config, pick=pick, edges=tables[which])
+        )
+    for session, model_logs in zip(sessions, logs):
+        reached = iter(session.reached)
+        for log in model_logs:
+            before = phi
+            for record in log.steps:
+                labels = action_labeling(record.action, action_alphabet) | state_labeling(
+                    next(reached), state_alphabet
+                )
+                assert record.labels == labels
+                verdict = Verdict(simplify(advance(restrict(expand(before), labels))))
+                assert record.formula is verdict.formula
+                if log.outcome == "dead_end" and record is log.steps[-1]:
+                    assert record.reward == -1.0  # the dead end's charge
+                else:
+                    assert record.reward == shaped_reward(before, verdict, shaping)
+                before = record.formula
 
 
 @settings(max_examples=60, deadline=None)
