@@ -18,11 +18,17 @@ Once its action has executed, a step reads one table, the run's edge
 table: a plain dict from (obligation, action, resulting state) to the
 step's action labels, labels, verdict and reward, the transitions of the
 formula's reward machine (see ``progression``) as the run meets them.
-``_drive`` makes one per run, and ``run_episode`` one per episode when it
-is given none.  Within a run the alphabet and the shaping flag are fixed,
-so neither is part of the key.  A run's first visit to an edge computes it
-from the tables below, so every run still calls ``projection`` once per
-edge it meets, and the table is freed with the run.
+Within a run the alphabet and the shaping flag are fixed, so neither is
+part of the key.  A run's first visit to an edge computes it from the
+tables below, so every run still calls ``projection`` once per edge it
+meets, and the table is freed with the run.
+
+The edge table lives in the run object, ``Run``, with the rest of what a
+run's episodes share: the session, the learner's tables and config, the
+pick, the policy's and the swaps' random streams, the formula's alphabet
+and the annealing schedule.  ``_drive`` builds one per run and passes it to
+every ``run_episode`` call, so an episode fills no defaults and computes no
+alphabet; a call without one, such as ``replay``'s, builds its own.
 
 Every other table is a cached pure function of its arguments, kept for the
 life of the process: projection, the prediction for an obligation over a
@@ -32,16 +38,18 @@ action's decision to that action), and the labeling of a step by its
 action and resulting state object.  The normal form of each input formula,
 which every run of it starts from, is cached the same way.
 
-A step builds only its ``StepRecord``, a named tuple that compares equal
-to the plain tuple of its values, and the key of its edge.  A learner step
-reads its whole ``Prediction`` from the cache in one lookup, and a verdict
-carries its resolved flags from when it was built.  The learner's step
-builds no dict either, and no decision except the one for an action that
-satisfies the obligation outright: it reads them from the prediction.  Its
-only lists are the policy's, for a choice among two or more candidates; a
-lone candidate is taken without the softmax, at the cost of the one random
-draw every choice makes.  ``learn`` clamps each update to the vigilance
-bound with comparisons, not ``min``/``max`` calls.
+A step builds only its ``StepRecord`` and the key of its edge.  The record
+is built with ``tuple.__new__(StepRecord, values)``: a named tuple is the
+tuple of its values, so this builds what calling the class builds, without
+the class's Python-level ``__new__``.  A learner step reads its whole
+``Prediction`` from the cache in one lookup, and a verdict carries its
+resolved flags from when it was built.  The learner's step builds no dict
+either, and no decision except the one for an action that satisfies the
+obligation outright: it reads them from the prediction.  Its only lists
+are the policy's, for a choice among two or more candidates; a lone
+candidate is taken without the softmax, at the cost of the one random draw
+every choice makes.  ``learn`` clamps each update to the vigilance bound
+with comparisons, not ``min``/``max`` calls.
 
 ``run_episode`` is the only loop that executes actions: the uniform
 baseline and replay run through it with a fixed way to pick each action,
@@ -49,9 +57,10 @@ and keep no tail, which only the learner reads.
 
 The classes follow the package's one idiom (``formula.Interned``):
 decisions are interned values; step records, predictions, run statistics
-and generation results are named tuples; the learner's tables (``QStore``)
-and an episode's log are ``__slots__`` classes.  ``LearnerConfig`` is the
-one dataclass, since callers copy it with ``dataclasses.replace``.
+and generation results are named tuples; the learner's tables
+(``QStore``), a run (``Run``) and an episode's log are ``__slots__``
+classes.  ``LearnerConfig`` is the one dataclass, since callers copy it
+with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -441,6 +450,55 @@ def anneal(
     )
 
 
+class Run:
+    """What one generation run's episodes share: the session, the learner's
+    tables and config, the way steps are picked, the edge table, the
+    policy's and the swaps' random streams, the formula's alphabet and the
+    annealing schedule.
+
+    Without ``pick`` the learner chooses, and the streams not given are
+    drawn from ``config.seed`` as ``_drive`` draws them.  Without ``edges``
+    the run starts an empty table.  The schedule starts at ``config``'s
+    initial temperature, epsilon and eta; ``anneal`` steps it.
+    """
+
+    __slots__ = (
+        "session", "store", "config", "pick", "edges", "policy_rng", "swap_rng",
+        "alphabet", "temperature", "epsilon", "eta",
+    )
+
+    def __init__(
+        self,
+        session: EnvSession,
+        phi0: Formula,
+        store: QStore,
+        config: LearnerConfig,
+        pick: Pick | None = None,
+        edges: Edges | None = None,
+        policy_rng: random.Random | None = None,
+        swap_rng: random.Random | None = None,
+    ) -> None:
+        if pick is None and (policy_rng is None or swap_rng is None):
+            master = random.Random(config.seed)
+            policy_rng = policy_rng or random.Random(master.getrandbits(64))
+            swap_rng = swap_rng or random.Random(master.getrandbits(64))
+        self.session = session
+        self.store = store
+        self.config = config
+        self.pick = pick
+        self.edges = {} if edges is None else edges
+        self.policy_rng = policy_rng
+        self.swap_rng = swap_rng
+        self.alphabet = atom_set(phi0)
+        self.temperature, self.epsilon, self.eta = config.t0, config.eps0, config.eta0
+
+    def anneal(self) -> None:
+        """Step the schedule once, after an episode."""
+        self.temperature, self.epsilon, self.eta = anneal(
+            self.temperature, self.epsilon, self.eta, self.config
+        )
+
+
 def run_episode(
     session: EnvSession,
     phi0: Formula,
@@ -448,13 +506,9 @@ def run_episode(
     config: LearnerConfig,
     *,
     index: int = 1,
-    temperature: float | None = None,
-    epsilon: float | None = None,
-    eta: float | None = None,
-    policy_rng: random.Random | None = None,
-    swap_rng: random.Random | None = None,
     pick: Pick | None = None,
     edges: Edges | None = None,
+    run: Run | None = None,
 ) -> EpisodeLog:
     """Drive one episode from the don't-care state until the verdict resolves
     or the step budget runs out.  Clears the eligibility trace first.
@@ -463,26 +517,21 @@ def run_episode(
     ``k`` executes ``pick(k, enabled)`` and nothing is screened or learned;
     the uniform baseline and replay are such picks.
 
-    ``edges`` is the run's edge table, shared by its episodes; without it
-    the episode starts an empty one.  An entry holds for one alphabet and
-    one ``config.shaping``, so a table is shared only by episodes of one
-    formula and one config.
+    ``run`` is the run the episode belongs to, made from the same session,
+    formula, store and config; its pick, edge table, random streams and
+    schedule are the episode's, and ``pick`` and ``edges`` are not read.
+    Without it the episode is a run of its own, made from these arguments.
+    An edge table's entries hold for one alphabet and one
+    ``config.shaping``, so a table passed as ``edges`` is shared only by
+    episodes of one formula and one config.
     """
-    if temperature is None:
-        temperature = config.t0
-    if epsilon is None:
-        epsilon = config.eps0
-    if eta is None:
-        eta = config.eta0
-    if pick is None and (policy_rng is None or swap_rng is None):
-        master = random.Random(config.seed)
-        policy_rng = policy_rng or random.Random(master.getrandbits(64))
-        swap_rng = swap_rng or random.Random(master.getrandbits(64))
-    if edges is None:
-        edges = {}
+    if run is None:
+        run = Run(session, phi0, store, config, pick, edges)
+    pick = run.pick
+    edges = run.edges
+    alphabet = run.alphabet
     session.reset()
     store.elig.clear()
-    alphabet = atom_set(phi0)
     phi = phi0
     tail: Tail = ()
     steps: list[StepRecord] = []
@@ -500,7 +549,7 @@ def run_episode(
             if prediction.kind == DEAD_END:
                 # Its labels are already stored and its tail seen, so learn needs no labels.
                 if previous is not None:
-                    learn(store, previous, -1.0, config, eta, swap_rng)
+                    learn(store, previous, -1.0, config, run.eta, run.swap_rng)
                     steps[-1] = steps[-1]._replace(reward=-1.0)
                 outcome = "dead_end"
                 break
@@ -511,7 +560,7 @@ def run_episode(
             else:
                 by_decision = prediction.survivors.mapping
                 decision = decide_next_action(
-                    store, by_decision.keys(), temperature, epsilon, policy_rng
+                    store, by_decision.keys(), run.temperature, run.epsilon, run.policy_rng
                 )
                 action = by_decision[decision]
         state = session.execute(action)
@@ -524,12 +573,15 @@ def run_episode(
             edge = edges[key] = (action_labels, labels, verdict, reward)
         action_labels, labels, verdict, reward = edge
         if pick is None:
-            learn(store, decision, reward, config, eta, swap_rng, action_labels=action_labels)
+            learn(
+                store, decision, reward, config, run.eta, run.swap_rng, action_labels=action_labels
+            )
             previous = decision
             if config.tail_length > 0:
                 tail = (tail + ((action.signature, state.id),))[-config.tail_length:]
-        steps.append(StepRecord(k, action, labels, verdict.formula, reward))
         phi = verdict.formula
+        # StepRecord(...) without its Python-level __new__; see the module docstring.
+        steps.append(tuple.__new__(StepRecord, (k, action, labels, phi, reward)))
         if verdict.is_true:
             outcome = "satisfied"
             break
@@ -556,36 +608,21 @@ def _drive(
     policy_rng = random.Random(master.getrandbits(64))
     swap_rng = random.Random(master.getrandbits(64))
     session = EnvSession(model, seed=master.getrandbits(64))
-    store = QStore()
-    edges: Edges = {}
     pick = None if policy is None else policy(policy_rng)
-    temperature, epsilon, eta = config.t0, config.eps0, config.eta0
+    run = Run(session, phi, QStore(), config, pick, {}, policy_rng, swap_rng)
     start = time.monotonic()
     logs: list[EpisodeLog] = []
     total_steps = 0
     test: list[GuiAction] | None = None
     for i in range(1, config.episodes + 1):
-        log = run_episode(
-            session,
-            phi,
-            store,
-            config,
-            index=i,
-            temperature=temperature,
-            epsilon=epsilon,
-            eta=eta,
-            policy_rng=policy_rng,
-            swap_rng=swap_rng,
-            pick=pick,
-            edges=edges,
-        )
+        log = run_episode(run.session, phi, run.store, run.config, index=i, run=run)
         logs.append(log)
         total_steps += len(log.steps)
-        if log.satisfied:
+        if log.outcome == "satisfied":
             test = [record.action for record in log.steps]
             break
         if pick is None:
-            temperature, epsilon, eta = anneal(temperature, epsilon, eta, config)
+            run.anneal()
     wall_ms = (time.monotonic() - start) * 1000.0
     outcome = "satisfied" if test is not None else "exhausted"
     stats = RunStats(outcome, len(logs), total_steps, wall_ms, config.seed)

@@ -78,9 +78,11 @@ class Interned(Frozen):
 
     The package has one idiom per kind of class: values are ``Interned``,
     records are ``typing.NamedTuple``s, and state is a plain class with
-    ``__slots__`` (a ``Frozen`` one when it never changes).  The only
-    dataclass is ``engine.LearnerConfig``, which callers copy with
-    ``dataclasses.replace``.
+    ``__slots__`` (a ``Frozen`` one when it never changes).  The engine
+    builds each step's ``engine.StepRecord`` with ``tuple.__new__``, which
+    skips the named tuple's Python-level ``__new__`` and builds the same
+    record.  The only dataclass is ``engine.LearnerConfig``, which callers
+    copy with ``dataclasses.replace``.
     """
 
     __slots__ = ()

@@ -709,3 +709,38 @@ def test_pinned_artifact_digests(name, tmp_path, capsys):
         "replay": capsys.readouterr().out.encode(),
     }
     assert {key: hashlib.sha256(data).hexdigest() for key, data in artifacts.items()} == expected
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# The uniform baseline alone, pinned before its episodes shared one run
+# object.  On flaky the session's random stream runs on across episodes:
+# the first click loses, the second wins.
+def test_pinned_uniform_baseline_on_a_stochastic_model(tmp_path, capsys):
+    common = ("--model", FLAKY, "--formula", "X [activity~Win]", "--engine", "random",
+              "--seed", "5", "--no-timing")
+    test, log, csv = tmp_path / "test.json", tmp_path / "episodes.log", tmp_path / "runs.csv"
+    assert run("generate", *common, "-o", str(test), "--log", str(log)) == EXIT_OK
+    assert run("experiment", *common, "--reps", "3", "--csv", str(csv)) == EXIT_OK
+    capsys.readouterr()
+    assert {"test": sha256_of(test), "log": sha256_of(log), "csv": sha256_of(csv)} == {
+        "test": "319706df170f2c32c6fe9770abd29e8e3ecd0ef4a447484116739a641faf693c",
+        "log": "76c5e489a55693192e77fbd614dd8af425e78313e2b70a0d249bf8dced564f67",
+        "csv": "de072426e02419eff796d3d8db988b526452efc4a1f9ad58be91649fcfc3e265",
+    }
+
+
+# Every rep exhausts its 40 episodes, so the digest covers runs that use
+# their whole budget.
+def test_pinned_uniform_baseline_experiment_over_whole_budgets(tmp_path, capsys):
+    csv = tmp_path / "runs.csv"
+    assert run(
+        "experiment", "--model", NEEDLE, "--formula", NEEDLE_B, "--engine", "random",
+        "--episodes", "40", "--reps", "3", "--no-timing", "--csv", str(csv),
+    ) == EXIT_OK
+    capsys.readouterr()
+    rows = csv.read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["exhausted"] * 3
+    assert sha256_of(csv) == "31cfaa5a74a9c362b8d7f67746b9b938d046daa2b86f38740a10fbad948d0775"

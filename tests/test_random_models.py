@@ -167,6 +167,30 @@ def test_memoized_step_labels_equal_direct_labeling(model_a, model_b, phi, seed)
             assert record.labels == expected
 
 
+def assert_steps_equal_direct_progression(phi, logs, reached, shaping):
+    """Each record of the episodes ``logs``, run in order from ``phi``, holds
+    the labels of the state ``reached`` lists for it and the verdict and
+    reward that progression computes afresh."""
+    alphabet = atom_set(phi)
+    action_alphabet = frozenset(ap for ap in alphabet if ap.is_action)
+    state_alphabet = alphabet - action_alphabet
+    reached = iter(reached)
+    for log in logs:
+        before = phi
+        for record in log.steps:
+            labels = action_labeling(record.action, action_alphabet) | state_labeling(
+                next(reached), state_alphabet
+            )
+            assert record.labels == labels
+            verdict = Verdict(simplify(advance(restrict(expand(before), labels))))
+            assert record.formula is verdict.formula
+            if log.outcome == "dead_end" and record is log.steps[-1]:
+                assert record.reward == -1.0  # the dead end's charge
+            else:
+                assert record.reward == shaped_reward(before, verdict, shaping)
+            before = record.formula
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     models(stochastic=True), models(stochastic=True), formulas, st.booleans(),
@@ -175,9 +199,6 @@ def test_memoized_step_labels_equal_direct_labeling(model_a, model_b, phi, seed)
 def test_edge_table_entries_equal_direct_progression(model_a, model_b, phi, shaping, seed):
     # Each model's episodes share one edge table, as a run's do, on the
     # learner path and the pick path alike.
-    alphabet = atom_set(phi)
-    action_alphabet = frozenset(ap for ap in alphabet if ap.is_action)
-    state_alphabet = alphabet - action_alphabet
     sessions = [RecordingSession(model_a, seed=seed), RecordingSession(model_b, seed=seed)]
     config = LearnerConfig(steps=5, seed=seed, shaping=shaping)
     stores = [QStore(), QStore()]
@@ -190,21 +211,72 @@ def test_edge_table_entries_equal_direct_progression(model_a, model_b, phi, shap
             run_episode(sessions[which], phi, stores[which], config, pick=pick, edges=tables[which])
         )
     for session, model_logs in zip(sessions, logs):
-        reached = iter(session.reached)
-        for log in model_logs:
-            before = phi
-            for record in log.steps:
-                labels = action_labeling(record.action, action_alphabet) | state_labeling(
-                    next(reached), state_alphabet
-                )
-                assert record.labels == labels
-                verdict = Verdict(simplify(advance(restrict(expand(before), labels))))
-                assert record.formula is verdict.formula
-                if log.outcome == "dead_end" and record is log.steps[-1]:
-                    assert record.reward == -1.0  # the dead end's charge
-                else:
-                    assert record.reward == shaped_reward(before, verdict, shaping)
-                before = record.formula
+        assert_steps_equal_direct_progression(phi, model_logs, session.reached, shaping)
+
+
+# A coin: from start, one click reaches heads or tails at even odds; a swipe
+# stays on start, and back returns to it.
+COIN = model_from_dict({
+    "screen": [100, 100],
+    "initial": {"StartActivity": "start"},
+    "states": [
+        {
+            "id": "start",
+            "attributes": {"activity": "StartActivity", "package": "demo.coin"},
+            "widgets": [{"objectID": "0:0", "text": "Flip", "bounds": [10, 10, 50, 50]}],
+            "actions": [
+                {"type": "click", "on": "0:0",
+                 "transitions": [{"to": "heads", "weight": 0.5}, {"to": "tails", "weight": 0.5}]},
+                {"type": "swipe", "transitions": [{"to": "start"}]},
+            ],
+        },
+        *(
+            {
+                "id": side,
+                "attributes": {"activity": f"{side.title()}Activity", "package": "demo.coin"},
+                "widgets": [],
+                "actions": [{"type": "back", "transitions": [{"to": "start"}]}],
+            }
+            for side in ("heads", "tails")
+        ),
+    ],
+})
+
+
+def play(pick_type, phi, seed, episodes):
+    """Episodes of one run on ``COIN``, sharing an edge table: step 0
+    launches, and every later step takes the action of type ``pick_type``
+    while start enables it, else back."""
+
+    def pick(k, enabled):
+        by_type = {action.action_type: action for action in enabled}
+        return by_type.get(pick_type, by_type.get("back", enabled[0]))
+
+    session = RecordingSession(COIN, seed=seed)
+    config = LearnerConfig(steps=4, seed=seed)
+    edges = {}
+    logs = [run_episode(session, phi, QStore(), config, pick=pick, edges=edges) for _ in range(episodes)]
+    assert_steps_equal_direct_progression(phi, logs, session.reached, config.shaping)
+    return session
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_an_edge_is_keyed_by_the_state_it_reached(seed):
+    # The click is taken under the one obligation [activity~Heads] and lands
+    # on both sides within the run: a table keyed by (obligation, action)
+    # would hand one side's labels and verdict to the other.
+    session = play("click", parse("X [activity~Heads]"), seed, episodes=30)
+    assert {"heads", "tails"} <= {state.id for state in session.reached}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_an_edge_is_keyed_by_the_obligation_it_was_met_under(seed):
+    # Every episode swipes from start back to start under X X [activity~Heads],
+    # then X [activity~Heads], then [activity~Heads], which it falsifies: a
+    # table keyed by (action, state) would serve the first obligation's
+    # verdict for the later ones.
+    session = play("swipe", parse("X X X [activity~Heads]"), seed, episodes=3)
+    assert [state.id for state in session.reached[:4]] == ["start"] * 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,6 +296,11 @@ def test_episode_verdicts_agree_with_evaluate(model, phi, seed):
             assert evaluate(trace, 0, phi)
         elif log.outcome == "falsified":
             assert not evaluate(trace, 0, phi)
+        else:
+            # Past the trace no predicate holds, in the obligation's
+            # semantics as in the formula's.
+            assert log.outcome == "exhausted"
+            assert evaluate((), 0, log.steps[-1].formula) == evaluate(trace, 0, phi)
 
 
 def subformulas(phi) -> set:

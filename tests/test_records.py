@@ -10,7 +10,7 @@ import pytest
 import ltlgen
 from ltlgen import AtomicProposition, EnvSession, Labeling, LearnerConfig, QStore, generate, parse
 from ltlgen import cli, engine, formula, model, parser, progression
-from ltlgen.engine import EpisodeLog, RunStats
+from ltlgen.engine import EpisodeLog, RunStats, StepRecord
 from ltlgen.model import AppModel, GuiState, Widget
 from ltlgen.parser import _Token
 from conftest import GO_ABOUT_AND_BACK
@@ -126,3 +126,16 @@ def test_labeling_text_sorts_by_fields_not_text():
     labels = Labeling((AtomicProposition("ab", "=", "x"), AtomicProposition("a", "~", "x")))
     assert str(labels) == "{[a~x], [ab=x]}"
 
+
+
+def test_every_step_record_is_a_step_record(needle):
+    # The pinned needle-dead-ends run: three episodes end in a dead end, and
+    # each charges its last record through _replace.
+    phi = parse("X ([actionType=click] & X ([actionType=swipe] & X [actionType=click]))")
+    result = generate(needle, phi, dataclasses.replace(LearnerConfig(), seed=3))
+    records = [record for log in result.episodes for record in log.steps]
+    charged = [log.steps[-1] for log in result.episodes if log.outcome == "dead_end"]
+    assert len(charged) == 3 and all(record.reward == -1.0 for record in charged)
+    assert {type(record) for record in records} == {StepRecord}
+    record = records[0]
+    assert record == tuple(record) and repr(record).startswith("StepRecord(index=0, ")
