@@ -18,7 +18,6 @@ from .engine import (
     prune_and_predict,
     random_policy_generate,
     replay,
-    run_episode,
 )
 from .formula import (
     And,
@@ -99,7 +98,6 @@ __all__ = [
     "render",
     "replay",
     "restrict",
-    "run_episode",
     "save_test",
     "shaped_reward",
     "simplify",

@@ -24,11 +24,14 @@ tables below, so every run still calls ``projection`` once per edge it
 meets, and the table is freed with the run.
 
 The edge table lives in the run object, ``Run``, with the rest of what a
-run's episodes share: the session, the learner's tables and config, the
-pick, the policy's and the swaps' random streams, the formula's alphabet
-and the annealing schedule.  ``_drive`` builds one per run and passes it to
-every ``run_episode`` call, so an episode fills no defaults and computes no
-alphabet; a call without one, such as ``replay``'s, builds its own.
+run's episodes share: the session, the formula they start from, the
+learner's tables and config, the pick, the policy's and the swaps' random
+streams, the formula's alphabet and the annealing schedule.  A run builds
+its own store and edge table, so both belong to its formula and config.
+``run_episode(run, index)`` drives one episode of a run, and it is the one
+way to drive one: ``_drive`` builds a run per generation run and ``replay``
+one per replayed test, so an episode fills no defaults and computes no
+alphabet.
 
 Every other table is a cached pure function of its arguments, kept for the
 life of the process: projection, the prediction for an obligation over a
@@ -51,9 +54,10 @@ candidate is taken without the softmax, at the cost of the one random draw
 every choice makes.  ``learn`` clamps each update to the vigilance bound
 with comparisons, not ``min``/``max`` calls.
 
-``run_episode`` is the only loop that executes actions: the uniform
-baseline and replay run through it with a fixed way to pick each action,
-and keep no tail, which only the learner reads.
+``run_episode`` is the only loop that executes actions.  The learner, the
+uniform baseline and replay differ only in their run's pick: a run with a
+pick screens nothing, learns nothing and keeps no tail, which only the
+learner reads.
 
 The classes follow the package's one idiom (``formula.Interned``):
 decisions are interned values; step records, predictions, run statistics
@@ -451,88 +455,65 @@ def anneal(
 
 
 class Run:
-    """What one generation run's episodes share: the session, the learner's
-    tables and config, the way steps are picked, the edge table, the
-    policy's and the swaps' random streams, the formula's alphabet and the
-    annealing schedule.
+    """What one run's episodes share: the session, the formula they start
+    from, the learner's tables and config, the way steps are picked, the
+    edge table, the policy's and the swaps' random streams, the formula's
+    alphabet and the annealing schedule.
 
-    Without ``pick`` the learner chooses, and the streams not given are
-    drawn from ``config.seed`` as ``_drive`` draws them.  Without ``edges``
-    the run starts an empty table.  The schedule starts at ``config``'s
-    initial temperature, epsilon and eta; ``anneal`` steps it.
+    The run builds its own store and edge table.  Without ``pick`` the
+    learner chooses, and without streams both are drawn from
+    ``config.seed`` as ``_drive`` draws them.  The schedule starts at
+    ``config``'s initial temperature, epsilon and eta.
     """
 
     __slots__ = (
-        "session", "store", "config", "pick", "edges", "policy_rng", "swap_rng",
+        "session", "phi", "store", "config", "pick", "edges", "policy_rng", "swap_rng",
         "alphabet", "temperature", "epsilon", "eta",
     )
 
     def __init__(
         self,
         session: EnvSession,
-        phi0: Formula,
-        store: QStore,
+        phi: Formula,
         config: LearnerConfig,
         pick: Pick | None = None,
-        edges: Edges | None = None,
         policy_rng: random.Random | None = None,
         swap_rng: random.Random | None = None,
     ) -> None:
-        if pick is None and (policy_rng is None or swap_rng is None):
+        if pick is None and policy_rng is None:
             master = random.Random(config.seed)
-            policy_rng = policy_rng or random.Random(master.getrandbits(64))
-            swap_rng = swap_rng or random.Random(master.getrandbits(64))
+            policy_rng = random.Random(master.getrandbits(64))
+            swap_rng = random.Random(master.getrandbits(64))
         self.session = session
-        self.store = store
+        self.phi = phi
+        self.store = QStore()
         self.config = config
         self.pick = pick
-        self.edges = {} if edges is None else edges
+        self.edges: Edges = {}
         self.policy_rng = policy_rng
         self.swap_rng = swap_rng
-        self.alphabet = atom_set(phi0)
+        self.alphabet = atom_set(phi)
         self.temperature, self.epsilon, self.eta = config.t0, config.eps0, config.eta0
 
-    def anneal(self) -> None:
-        """Step the schedule once, after an episode."""
-        self.temperature, self.epsilon, self.eta = anneal(
-            self.temperature, self.epsilon, self.eta, self.config
-        )
 
+def run_episode(run: Run, index: int = 1) -> EpisodeLog:
+    """Drive one episode of ``run`` from the don't-care state until the
+    verdict resolves or the step budget runs out.  Clears the eligibility
+    trace first.
 
-def run_episode(
-    session: EnvSession,
-    phi0: Formula,
-    store: QStore,
-    config: LearnerConfig,
-    *,
-    index: int = 1,
-    pick: Pick | None = None,
-    edges: Edges | None = None,
-    run: Run | None = None,
-) -> EpisodeLog:
-    """Drive one episode from the don't-care state until the verdict resolves
-    or the step budget runs out.  Clears the eligibility trace first.
-
-    Without ``pick`` the learner screens, chooses and learns.  With it, step
+    Without a pick the learner screens, chooses and learns.  With one, step
     ``k`` executes ``pick(k, enabled)`` and nothing is screened or learned;
     the uniform baseline and replay are such picks.
-
-    ``run`` is the run the episode belongs to, made from the same session,
-    formula, store and config; its pick, edge table, random streams and
-    schedule are the episode's, and ``pick`` and ``edges`` are not read.
-    Without it the episode is a run of its own, made from these arguments.
-    An edge table's entries hold for one alphabet and one
-    ``config.shaping``, so a table passed as ``edges`` is shared only by
-    episodes of one formula and one config.
     """
-    if run is None:
-        run = Run(session, phi0, store, config, pick, edges)
+    session = run.session
+    store = run.store
+    config = run.config
     pick = run.pick
     edges = run.edges
     alphabet = run.alphabet
     session.reset()
     store.elig.clear()
-    phi = phi0
+    phi = run.phi
     tail: Tail = ()
     steps: list[StepRecord] = []
     previous: Decision | None = None
@@ -609,20 +590,22 @@ def _drive(
     swap_rng = random.Random(master.getrandbits(64))
     session = EnvSession(model, seed=master.getrandbits(64))
     pick = None if policy is None else policy(policy_rng)
-    run = Run(session, phi, QStore(), config, pick, {}, policy_rng, swap_rng)
+    run = Run(session, phi, config, pick, policy_rng, swap_rng)
     start = time.monotonic()
     logs: list[EpisodeLog] = []
     total_steps = 0
     test: list[GuiAction] | None = None
     for i in range(1, config.episodes + 1):
-        log = run_episode(run.session, phi, run.store, run.config, index=i, run=run)
+        log = run_episode(run, i)
         logs.append(log)
         total_steps += len(log.steps)
         if log.outcome == "satisfied":
             test = [record.action for record in log.steps]
             break
         if pick is None:
-            run.anneal()
+            run.temperature, run.epsilon, run.eta = anneal(
+                run.temperature, run.epsilon, run.eta, config
+            )
     wall_ms = (time.monotonic() - start) * 1000.0
     outcome = "satisfied" if test is not None else "exhausted"
     stats = RunStats(outcome, len(logs), total_steps, wall_ms, config.seed)
@@ -670,5 +653,4 @@ def replay(
             f"step {k}: {description!r} is not enabled in state {session.current.id!r}"
         )
 
-    config = LearnerConfig(steps=len(test))
-    return run_episode(session, _normal_form(phi0), QStore(), config, pick=pick)
+    return run_episode(Run(session, _normal_form(phi0), LearnerConfig(steps=len(test)), pick))

@@ -1,6 +1,6 @@
 """Shared builders for the test suite: predicates, labelings, formula
-generators, the reference learner update and policy, and exact oracles for
-the shortest test and for the uniform baseline's chance of finding one."""
+generators, the reference learner update, policy and run, and exact oracles
+for the shortest test and for the uniform baseline's chance of finding one."""
 
 from __future__ import annotations
 
@@ -12,16 +12,21 @@ from ltlgen import (
     And,
     AtomicProposition,
     DONT_CARE,
+    EnvSession,
     FALSE,
     Formula,
     Labeling,
     Next,
     Not,
+    QStore,
     TRUE,
     Until,
     action_labeling,
+    advance,
     atom_set,
+    expand,
     projection,
+    restrict,
     simplify,
     state_labeling,
 )
@@ -251,3 +256,99 @@ def reference_decide_next_action(store, candidates, temperature, epsilon, rng):
         if roll < acc:
             return decision
     return candidates[-1]
+
+
+def reference_run(model, phi, config, uniform):
+    """A run of ``engine.generate``, or with ``uniform`` of
+    ``random_policy_generate``, written plainly, kept as the reference their
+    episodes and tables must equal.
+
+    It caches nothing and keeps no edge table: every screening and every
+    step progresses the obligation afresh, and the reward is recomputed from
+    the predicate counts.  Decisions are plain ``(tail, signature)`` tuples,
+    learned by ``reference_learn`` and chosen by
+    ``reference_decide_next_action``.  The streams are seeded as ``_drive``
+    seeds them: master, then policy, then swap, then session.
+
+    Returns each episode as ``(index, records, outcome)``, a record being
+    ``(k, action, labels, obligation, reward)``, and the store."""
+    phi = simplify(phi)
+    alphabet = atom_set(phi)
+    master = random.Random(config.seed)
+    policy_rng = random.Random(master.getrandbits(64))
+    swap_rng = random.Random(master.getrandbits(64))
+    session = EnvSession(model, seed=master.getrandbits(64))
+    store = QStore()
+    temperature, epsilon, eta = config.t0, config.eps0, config.eta0
+    episodes = []
+    for index in range(1, config.episodes + 1):
+        session.reset()
+        store.elig.clear()
+        obligation, tail, records, previous, outcome = phi, (), [], None, "exhausted"
+        for k in range(config.steps):
+            enabled = session.enabled_actions()
+            if uniform:
+                action = policy_rng.choice(enabled)
+            else:
+                survivors, shortcut = list(enabled), None
+                if config.predict:
+                    survivors = []
+                    for candidate in enabled:
+                        labels = action_labeling(candidate, alphabet)
+                        residue = simplify(
+                            advance(restrict(expand(obligation), labels, action_only=True))
+                        )
+                        if residue is TRUE:
+                            shortcut = candidate
+                            break
+                        if residue is not FALSE:
+                            survivors.append(candidate)
+                    if shortcut is None and not survivors:
+                        if previous is not None:
+                            reference_learn(store, previous, -1.0, config, eta, swap_rng)
+                            records[-1] = records[-1][:4] + (-1.0,)
+                        outcome = "dead_end"
+                        break
+                if shortcut is not None:
+                    action = shortcut
+                    decision = (tail, action.signature)
+                else:
+                    by_decision = {(tail, a.signature): a for a in survivors}
+                    decision = reference_decide_next_action(
+                        store, list(by_decision), temperature, epsilon, policy_rng
+                    )
+                    action = by_decision[decision]
+            state = session.execute(action)
+            action_labels = action_labeling(action, alphabet)
+            labels = action_labels | state_labeling(state, alphabet)
+            after = simplify(advance(restrict(expand(obligation), labels)))
+            before, count = obligation.atom_count, after.atom_count
+            if after is TRUE:
+                reward = 1.0
+            elif after is FALSE:
+                reward = -1.0
+            elif config.shaping and before + count:
+                reward = abs(count - before) / (before + count)
+            else:
+                reward = 0.0
+            if not uniform:
+                reference_learn(store, decision, reward, config, eta, swap_rng, action_labels)
+                previous = decision
+                if config.tail_length > 0:
+                    tail = (tail + ((action.signature, state.id),))[-config.tail_length:]
+            records.append((k, action, labels, after, reward))
+            obligation = after
+            if after is TRUE:
+                outcome = "satisfied"
+                break
+            if after is FALSE:
+                outcome = "falsified"
+                break
+        episodes.append((index, records, outcome))
+        if outcome == "satisfied":
+            break
+        if not uniform:
+            temperature = max(temperature - config.t_delta, config.t_min)
+            epsilon = max(config.eps_update * epsilon, config.eps_min)
+            eta = max(config.eta_update * eta, config.eta_min)
+    return episodes, store

@@ -30,10 +30,9 @@ from ltlgen import (
     prune_and_predict,
     random_policy_generate,
     replay,
-    run_episode,
 )
 from ltlgen import engine
-from ltlgen.engine import CONTINUE, DEAD_END, SATISFIED, Prediction, StepRecord
+from ltlgen.engine import CONTINUE, DEAD_END, SATISFIED, Prediction, Run, StepRecord, run_episode
 from conftest import GO_ABOUT_AND_BACK, NEEDLE_A, NEEDLE_B, NEEDLE_C
 from helpers import FixedRoll, lab
 
@@ -533,16 +532,13 @@ def test_replay_starts_its_own_edge_table(needle, monkeypatch):
 
     assert records(logs[0]) == records(logs[1]) == records(result.episodes[-1])
     # An episode reading a warm table logs what a fresh table gives.
-    edges = {}
-    session = EnvSession(needle)
     config = LearnerConfig(steps=len(result.test))
+    run = Run(
+        EnvSession(needle), engine._normal_form(phi), config, lambda k, enabled: result.test[k]
+    )
     for _ in range(2):
-        log = run_episode(
-            session, engine._normal_form(phi), QStore(), config,
-            pick=lambda k, enabled: result.test[k], edges=edges,
-        )
-        assert records(log) == records(logs[0])
-    assert len(edges) == len(visits)
+        assert records(run_episode(run)) == records(logs[0])
+    assert len(run.edges) == len(visits)
 
 
 # --- episodes ---
@@ -588,9 +584,7 @@ def lobby_model() -> dict:
 
 def test_step_cap_limits_an_episode(chesswalk):
     config = dataclasses.replace(LearnerConfig(), steps=1, seed=5)
-    store = QStore()
-    session = EnvSession(chesswalk, seed=1)
-    log = run_episode(session, parse(GO_ABOUT_AND_BACK), store, config)
+    log = run_episode(Run(EnvSession(chesswalk, seed=1), parse(GO_ABOUT_AND_BACK), config))
     assert len(log.steps) == 1
     assert log.steps[0].action.action_type == "reinitialize"
     assert log.outcome == "exhausted"
@@ -599,14 +593,13 @@ def test_step_cap_limits_an_episode(chesswalk):
 def test_dead_end_charges_the_previous_decision():
     model = model_from_dict(lobby_model())
     phi = parse("X ([actionType=click] & [activity~Lobby])")
-    store = QStore()
-    session = EnvSession(model, seed=0)
-    log = run_episode(session, phi, store, LearnerConfig())
+    run = Run(EnvSession(model, seed=0), phi, LearnerConfig())
+    log = run_episode(run)
     assert log.outcome == "dead_end"
     assert len(log.steps) == 1  # only the reinitialize executed
     assert log.steps[-1].reward == -1.0
     reinit_decision = Decision((), ("reinitialize", ("LobbyActivity",), ""))
-    assert store.q1[reinit_decision] < 0 or store.q2[reinit_decision] < 0
+    assert run.store.q1[reinit_decision] < 0 or run.store.q2[reinit_decision] < 0
 
 
 def test_dead_end_charge_is_what_the_learner_learns(monkeypatch):
@@ -620,9 +613,24 @@ def test_dead_end_charge_is_what_the_learner_learns(monkeypatch):
     monkeypatch.setattr(engine, "learn", spy)
     model = model_from_dict(lobby_model())
     phi = parse("X ([actionType=click] & [activity~Lobby])")
-    log = run_episode(EnvSession(model, seed=0), phi, QStore(), LearnerConfig())
+    log = run_episode(Run(EnvSession(model, seed=0), phi, LearnerConfig()))
     assert log.outcome == "dead_end"
     assert calls[-1] == (Decision((), ("reinitialize", ("LobbyActivity",), "")), -1.0)
+
+
+def test_a_picked_run_screens_and_learns_nothing(needle, monkeypatch):
+    phi = parse(NEEDLE_B)
+    test = generate(needle, phi, LearnerConfig(seed=0)).test
+    called = []
+    for name in ("prune_and_predict", "_predict", "learn", "decide_next_action"):
+        monkeypatch.setattr(engine, name, lambda *args, name=name, **kwargs: called.append(name))
+    baseline = random_policy_generate(needle, phi, LearnerConfig(episodes=20, seed=0))
+    assert baseline.stats.steps > 0
+    assert replay(needle, test, phi).satisfied
+    run = Run(EnvSession(needle), phi, LearnerConfig(), lambda k, enabled: enabled[-1])
+    assert run_episode(run).steps
+    assert called == []
+    assert all(not getattr(run.store, table) for table in QStore.__slots__)
 
 
 def test_step_labels_tell_apart_actions_with_one_signature():
@@ -666,9 +674,10 @@ def test_learner_labels_tell_apart_actions_with_one_signature():
         ],
     })
     stop = lab(AtomicProposition("actionDetail", "~", "Stop"))
-    store = QStore()
     config = LearnerConfig(steps=3, seed=1, episodes=1)
-    log = run_episode(EnvSession(model, seed=0), parse("F [actionDetail~Stop]"), store, config)
+    run = Run(EnvSession(model, seed=0), parse("F [actionDetail~Stop]"), config)
+    log = run_episode(run)
+    store = run.store
     assert log.outcome == "satisfied"
     assert [record.action.detail for record in log.steps[1:]] == ["Start", "Stop"]
     assert log.steps[-1].reward == 1.0
@@ -684,20 +693,18 @@ def test_tails_respect_the_length_bound(needle):
     assert result.satisfied
     # generate keeps its store to itself, so one learner episode on a new
     # store shows the tails decisions are keyed by; none may exceed the bound
-    store = QStore()
-    session = EnvSession(needle, seed=1)
-    run_episode(session, parse(NEEDLE_B), store, config)
-    assert all(len(d.tail) <= 2 for d in store.q1)
+    run = Run(EnvSession(needle, seed=1), parse(NEEDLE_B), config)
+    run_episode(run)
+    assert all(len(d.tail) <= 2 for d in run.store.q1)
 
 
 def test_zero_tail_length_degrades_to_stateless_keys(needle):
     from conftest import NEEDLE_B
 
     config = dataclasses.replace(LearnerConfig(), seed=9, tail_length=0)
-    store = QStore()
-    session = EnvSession(needle, seed=1)
-    run_episode(session, parse(NEEDLE_B), store, config)
-    assert all(d.tail == () for d in store.q1)
+    run = Run(EnvSession(needle, seed=1), parse(NEEDLE_B), config)
+    run_episode(run)
+    assert all(d.tail == () for d in run.store.q1)
 
 
 # --- generation ---

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ltlgen import (
     And,
@@ -26,6 +26,7 @@ from ltlgen import (
     atom_set,
     decide_next_action,
     expand,
+    generate,
     learn,
     model_from_dict,
     parse,
@@ -33,18 +34,18 @@ from ltlgen import (
     random_policy_generate,
     replay,
     restrict,
-    run_episode,
     shaped_reward,
     simplify,
     state_labeling,
 )
-from ltlgen.engine import ENGINES
+from ltlgen.engine import ENGINES, Run, run_episode
 from ltlgen.progression import evaluate
 from conftest import GO_ABOUT_AND_BACK, NEEDLE_A, NEEDLE_B, NEEDLE_C
 from helpers import (
     reference_decide_next_action,
     reference_learn,
     reference_policy_probabilities,
+    reference_run,
     satisfaction_probability,
     shortest_test,
 )
@@ -149,14 +150,16 @@ def test_memoized_step_labels_equal_direct_labeling(model_a, model_b, phi, seed)
     state_alphabet = alphabet - action_alphabet
     sessions = [RecordingSession(model_a, seed=seed), RecordingSession(model_b, seed=seed)]
     config = LearnerConfig(steps=5, seed=seed)
-    stores = [QStore(), QStore()]
+    runs = [
+        (Run(session, phi, config, lambda k, enabled: enabled[0]), Run(session, phi, config))
+        for session in sessions
+    ]
     logs = ([], [])
     for index in range(8):
-        # Alternate the two models, and on each the learner with the first
-        # enabled action; every episode reads the same process-wide memo.
+        # Alternate the two models, and on each the first enabled action with
+        # the learner; every episode reads the same process-wide memo.
         which = index % 2
-        pick = None if index // 2 % 2 else (lambda k, enabled: enabled[0])
-        logs[which].append(run_episode(sessions[which], phi, stores[which], config, pick=pick))
+        logs[which].append(run_episode(runs[which][index // 2 % 2]))
     for session, model_logs in zip(sessions, logs):
         steps = [record for log in model_logs for record in log.steps]
         assert len(steps) == len(session.reached)
@@ -201,15 +204,16 @@ def test_edge_table_entries_equal_direct_progression(model_a, model_b, phi, shap
     # learner path and the pick path alike.
     sessions = [RecordingSession(model_a, seed=seed), RecordingSession(model_b, seed=seed)]
     config = LearnerConfig(steps=5, seed=seed, shaping=shaping)
-    stores = [QStore(), QStore()]
-    tables = ({}, {})
+    runs = []
+    for session in sessions:
+        picked = Run(session, phi, config, lambda k, enabled: enabled[0])
+        learner = Run(session, phi, config)
+        picked.edges = learner.edges
+        runs.append((picked, learner))
     logs = ([], [])
     for index in range(8):
         which = index % 2
-        pick = None if index // 2 % 2 else (lambda k, enabled: enabled[0])
-        logs[which].append(
-            run_episode(sessions[which], phi, stores[which], config, pick=pick, edges=tables[which])
-        )
+        logs[which].append(run_episode(runs[which][index // 2 % 2]))
     for session, model_logs in zip(sessions, logs):
         assert_steps_equal_direct_progression(phi, model_logs, session.reached, shaping)
 
@@ -253,10 +257,9 @@ def play(pick_type, phi, seed, episodes):
         return by_type.get(pick_type, by_type.get("back", enabled[0]))
 
     session = RecordingSession(COIN, seed=seed)
-    config = LearnerConfig(steps=4, seed=seed)
-    edges = {}
-    logs = [run_episode(session, phi, QStore(), config, pick=pick, edges=edges) for _ in range(episodes)]
-    assert_steps_equal_direct_progression(phi, logs, session.reached, config.shaping)
+    run = Run(session, phi, LearnerConfig(steps=4, seed=seed), pick)
+    logs = [run_episode(run) for _ in range(episodes)]
+    assert_steps_equal_direct_progression(phi, logs, session.reached, run.config.shaping)
     return session
 
 
@@ -283,14 +286,13 @@ def test_an_edge_is_keyed_by_the_obligation_it_was_met_under(seed):
 @given(models(stochastic=True), formulas, st.integers(0, 2**32 - 1))
 def test_episode_verdicts_agree_with_evaluate(model, phi, seed):
     rng = random.Random(seed)
-    session = EnvSession(model, seed=seed)
-    config = LearnerConfig(steps=6, seed=seed)
 
     def uniform(k, enabled):
         return enabled[rng.randrange(len(enabled))]
 
+    run = Run(EnvSession(model, seed=seed), phi, LearnerConfig(steps=6, seed=seed), uniform)
     for _ in range(4):
-        log = run_episode(session, phi, QStore(), config, pick=uniform)
+        log = run_episode(run)
         trace = [record.labels for record in log.steps]
         if log.outcome == "satisfied":
             assert evaluate(trace, 0, phi)
@@ -322,8 +324,10 @@ def test_obligations_stay_bounded_over_long_episodes(model, phi, seed):
     rng = random.Random(seed)
     config = LearnerConfig(steps=max(300, bound + 1), seed=seed)
     log = run_episode(
-        EnvSession(model, seed=seed), phi, QStore(), config,
-        pick=lambda k, enabled: enabled[rng.randrange(len(enabled))],
+        Run(
+            EnvSession(model, seed=seed), phi, config,
+            lambda k, enabled: enabled[rng.randrange(len(enabled))],
+        )
     )
     assert max(record.formula.atom_count for record in log.steps) < bound
 
@@ -474,3 +478,75 @@ def test_policy_equals_the_reference_policy(inputs, temperature, epsilon, seed):
         assert chosen is expected
         # One draw per call, also for a lone candidate.
         assert rng.getstate() == reference_rng.getstate()
+
+
+@st.composite
+def short_schedules(draw):
+    """A learner config of a few short episodes whose temperature, epsilon
+    and eta reach their floors within the first four."""
+    eps0 = draw(st.floats(0.6, 1.0))
+    return LearnerConfig(
+        episodes=draw(st.integers(1, 16)),
+        steps=draw(st.integers(1, 6)),
+        t0=1.0,
+        t_delta=0.3,
+        t_min=draw(st.floats(0.02, 0.2)),
+        eps0=eps0,
+        eps_update=0.25,
+        eps_min=eps0 * draw(st.floats(0.15, 0.45)),
+        eta_update=0.25,
+        eta_min=draw(st.floats(0.1, 0.5)),
+        tail_length=draw(st.integers(0, 3)),
+        shaping=draw(st.booleans()),
+        predict=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(stochastic=True), sugared_formulas, short_schedules(), st.booleans())
+# Runs that tell apart, on every seed, an edge table keyed without the
+# state reached, values of new tails left unseeded, and an epsilon floor
+# other than eps_min.
+@example(COIN, parse("F [activity~Heads]"), LearnerConfig(episodes=3, steps=4, seed=1), False)
+@example(
+    COIN, parse("X X [activity~Heads]"), LearnerConfig(episodes=6, tail_length=1, seed=0), False
+)
+@example(
+    COIN,
+    parse("X [activity~Tails]"),
+    LearnerConfig(
+        episodes=8, steps=2, t0=1.0, t_delta=0.3, t_min=0.05, eps0=1.0, eps_update=0.25,
+        eps_min=0.25, eta_update=0.25, eta_min=0.5, seed=0,
+    ),
+    False,
+)
+def test_runs_equal_the_reference_run(model, phi, config, uniform):
+    # A cache or table keyed by less than its entry depends on serves a
+    # stale entry somewhere in a run; the reference keeps neither.
+    stores = []
+
+    def recording_store():
+        stores.append(QStore())
+        return stores[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ltlgen.engine.QStore", recording_store)
+        result = (random_policy_generate if uniform else generate)(model, phi, config)
+    episodes, reference = reference_run(model, phi, config, uniform)
+
+    def plain(records):
+        return [(*record[:4], repr(record[4])) for record in records]
+
+    assert [(log.index, plain(log.steps), log.outcome) for log in result.episodes] == [
+        (index, plain(records), outcome) for index, records, outcome in episodes
+    ]
+    (store,) = stores
+    for name in ("q1", "q2"):
+        assert [((d.tail, d.action), repr(v)) for d, v in getattr(store, name).items()] == [
+            (d, repr(v)) for d, v in getattr(reference, name).items()
+        ]
+    for name in ("qa1", "qa2"):
+        assert [(labels, repr(v)) for labels, v in getattr(store, name).items()] == [
+            (labels, repr(v)) for labels, v in getattr(reference, name).items()
+        ]

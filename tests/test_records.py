@@ -48,15 +48,15 @@ def converted(chesswalk):
     """One object of each converted type, taken from a short learner run."""
     phi = parse(GO_ABOUT_AND_BACK)
     result = generate(chesswalk, phi, dataclasses.replace(LearnerConfig(), episodes=3, seed=1))
-    store = QStore()
-    engine.run_episode(EnvSession(chesswalk), phi, store, LearnerConfig())
-    assert store.q1
+    run = engine.Run(EnvSession(chesswalk), phi, LearnerConfig())
+    engine.run_episode(run)
+    assert run.store.q1
     return {
         "predicate": AtomicProposition("activity", "~", "Main"),
         "widget": Widget("0:4", "About", (214, 644, 264, 694)),
         "state": chesswalk.states["main"],
         "model": chesswalk,
-        "store": store,
+        "store": run.store,
         "episode": result.episodes[-1],
         "stats": result.stats,
         "result": result,
