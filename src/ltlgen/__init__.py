@@ -25,7 +25,6 @@ from .formula import (
     AtomicProposition,
     FALSE,
     Formula,
-    Labeling,
     Next,
     Not,
     TRUE,
@@ -66,7 +65,6 @@ __all__ = [
     "FALSE",
     "Formula",
     "GuiAction",
-    "Labeling",
     "LearnerConfig",
     "ModelError",
     "Next",

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .engine import ENGINES, EpisodeLog, GenerationResult, LearnerConfig, RunStats, replay
-from .formula import Formula, atom_set, render
+from .formula import AtomicProposition, Formula, atom_set, render
 from .model import (
     ActionNotEnabled,
     AppModel,
@@ -150,12 +150,19 @@ def _load_inputs(args: argparse.Namespace) -> tuple[AppModel, Formula]:
     return model, phi
 
 
+def _labels_text(labels: frozenset[AtomicProposition]) -> str:
+    # By fields, not by text: "[a~x]" sorts after "[ab=x]" as text.  Sorted,
+    # since a set's order follows identity hashes, which differ per process.
+    ordered = sorted(labels, key=lambda a: (a.key, a.op, a.value))
+    return "{" + ", ".join(map(str, ordered)) + "}"
+
+
 def _episode_lines(log: EpisodeLog) -> list[str]:
     lines = []
     for record in log.steps:
         lines.append(
             f"i={log.index} k={record.index} action={record.action.describe()} "
-            f"L={record.labels} phi={render(record.formula)} r={record.reward:g}"
+            f"L={_labels_text(record.labels)} phi={render(record.formula)} r={record.reward:g}"
         )
     return lines
 

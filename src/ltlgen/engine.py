@@ -6,7 +6,10 @@ paths can earn different values.  A decision is a tail plus an action
 signature; decisions are interned like formula nodes (``formula.Interned``),
 so the learner's tables hash and compare them by identity and never walk a
 tail.  Stateless side tables keyed by action labelings seed values for
-decisions made from tails never seen before.
+decisions made from tails never seen before.  A labeling, the set of
+predicates that hold at a step, is a plain ``frozenset``, so it hashes and
+compares by its predicates; only the command line's log prints one, in
+sorted order.
 
 Before choosing an action the engine screens the enabled set using action
 labels alone: actions whose labels already falsify the formula are dropped
@@ -26,8 +29,9 @@ meets, and the table is freed with the run.
 The edge table lives in the run object, ``Run``, with the rest of what a
 run's episodes share: the session, the formula they start from, the
 learner's tables and config, the pick, the policy's and the swaps' random
-streams, the formula's alphabet and the annealing schedule.  A run builds
-its own store and edge table, so both belong to its formula and config.
+streams, the formula's alphabet and the annealing schedule.  A run takes
+the input formula and starts from its normal form, and it builds its own
+store and edge table, so both belong to its formula and config.
 ``run_episode(run, index)`` drives one episode of a run, and it is the one
 way to drive one: ``_drive`` builds a run per generation run and ``replay``
 one per replayed test, so an episode fills no defaults and computes no
@@ -38,8 +42,9 @@ life of the process: projection, the prediction for an obligation over a
 state's enabled actions at a tail, screened or not (a continuing
 prediction carries the learner's candidates: a map from each surviving
 action's decision to that action), and the labeling of a step by its
-action and resulting state object.  The normal form of each input formula,
-which every run of it starts from, is cached the same way.
+action and resulting state object.  So is each input formula's start
+(``_start``): its normal form, which every run of it starts from, and the
+predicates of that form, the run's alphabet.
 
 A step builds only its ``StepRecord`` and the key of its edge.  The record
 is built with ``tuple.__new__(StepRecord, values)``: a named tuple is the
@@ -63,8 +68,8 @@ The classes follow the package's one idiom (``formula.Interned``):
 decisions are interned values; step records, predictions, run statistics
 and generation results are named tuples; the learner's tables
 (``QStore``), a run (``Run``) and an episode's log are ``__slots__``
-classes.  ``LearnerConfig`` is the one dataclass, since callers copy it
-with ``dataclasses.replace``.
+classes; labelings are frozensets.  ``LearnerConfig`` is the one
+dataclass, since callers copy it with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -81,7 +86,6 @@ from .formula import (
     FALSE,
     Formula,
     Interned,
-    Labeling,
     TRUE,
     Verdict,
     atom_set,
@@ -106,7 +110,7 @@ Tail = tuple[tuple[ActionSig, str], ...]
 # cache would keep every re-imported copy of this package alive.
 Pick = Callable[[int, Sequence[GuiAction]], GuiAction]
 # A run's edge table; see the module docstring.
-Edges = dict[tuple[Formula, GuiAction, GuiState], tuple[Labeling, Labeling, Verdict, float]]
+Edges = dict[tuple[Formula, GuiAction, GuiState], tuple[frozenset, frozenset, Verdict, float]]
 
 
 class Decision(Interned):
@@ -196,11 +200,11 @@ class QStore:
     def __init__(self) -> None:
         self.q1: dict[Decision, float] = {}
         self.q2: dict[Decision, float] = {}
-        self.qa1: dict[Labeling, float] = {}
-        self.qa2: dict[Labeling, float] = {}
+        self.qa1: dict[frozenset, float] = {}
+        self.qa2: dict[frozenset, float] = {}
         self.elig: dict[Decision, float] = {}
         self.seen_tails: set[Tail] = set()
-        self.action_labels: dict[Decision, Labeling] = {}
+        self.action_labels: dict[Decision, frozenset] = {}
 
 
 class StepRecord(NamedTuple):
@@ -208,7 +212,7 @@ class StepRecord(NamedTuple):
 
     index: int
     action: GuiAction
-    labels: Labeling
+    labels: frozenset
     formula: Formula
     reward: float
 
@@ -314,10 +318,11 @@ class Prediction(NamedTuple):
 
 
 @functools.cache
-def _normal_form(phi0: Formula) -> Formula:
-    """An input formula in the normal form obligations are kept in; runs
-    of one input share it."""
-    return simplify(phi0)
+def _start(phi0: Formula) -> tuple[Formula, frozenset]:
+    """Where every run of an input formula starts: its normal form, which
+    obligations are kept in, and that form's predicates, the alphabet."""
+    phi = simplify(phi0)
+    return phi, atom_set(phi)
 
 
 @functools.cache
@@ -357,7 +362,7 @@ def _predict(
 @functools.cache
 def _step_labels(
     action: GuiAction, state: GuiState, alphabet: frozenset
-) -> tuple[Labeling, Labeling]:
+) -> tuple[frozenset, frozenset]:
     """(action labels, full labels) of a step.  Keyed by the state object,
     not its id: ids repeat across models."""
     action_labels = action_labeling(action, alphabet)
@@ -389,7 +394,7 @@ def learn(
     config: LearnerConfig,
     eta: float,
     rng: random.Random,
-    action_labels: Labeling | None = None,
+    action_labels: frozenset | None = None,
 ) -> float:
     """One reinforcement: myopic update swept over all eligible decisions.
 
@@ -406,7 +411,7 @@ def learn(
     """
     labels_of = store.action_labels
     if action_labels is None:
-        action_labels = labels_of.get(decision, Labeling())
+        action_labels = labels_of.get(decision, frozenset())
     labels_of.setdefault(decision, action_labels)
     q1, q2, qa1, qa2, elig = store.q1, store.q2, store.qa1, store.qa2, store.elig
     if decision.tail not in store.seen_tails:
@@ -460,10 +465,11 @@ class Run:
     edge table, the policy's and the swaps' random streams, the formula's
     alphabet and the annealing schedule.
 
-    The run builds its own store and edge table.  Without ``pick`` the
-    learner chooses, and without streams both are drawn from
-    ``config.seed`` as ``_drive`` draws them.  The schedule starts at
-    ``config``'s initial temperature, epsilon and eta.
+    The run starts from the normal form of the input formula ``phi0``, as
+    every run of that input does, and builds its own store and edge table.
+    Without ``pick`` the learner chooses, and without streams both are
+    drawn from ``config.seed`` as ``_drive`` draws them.  The schedule
+    starts at ``config``'s initial temperature, epsilon and eta.
     """
 
     __slots__ = (
@@ -474,7 +480,7 @@ class Run:
     def __init__(
         self,
         session: EnvSession,
-        phi: Formula,
+        phi0: Formula,
         config: LearnerConfig,
         pick: Pick | None = None,
         policy_rng: random.Random | None = None,
@@ -485,14 +491,13 @@ class Run:
             policy_rng = random.Random(master.getrandbits(64))
             swap_rng = random.Random(master.getrandbits(64))
         self.session = session
-        self.phi = phi
+        self.phi, self.alphabet = _start(phi0)
         self.store = QStore()
         self.config = config
         self.pick = pick
         self.edges: Edges = {}
         self.policy_rng = policy_rng
         self.swap_rng = swap_rng
-        self.alphabet = atom_set(phi)
         self.temperature, self.epsilon, self.eta = config.t0, config.eps0, config.eta0
 
 
@@ -584,13 +589,12 @@ def _drive(
     policy: Callable[[random.Random], Pick] | None = None,
 ) -> GenerationResult:
     config.validate()
-    phi = _normal_form(phi0)
     master = random.Random(config.seed)
     policy_rng = random.Random(master.getrandbits(64))
     swap_rng = random.Random(master.getrandbits(64))
     session = EnvSession(model, seed=master.getrandbits(64))
     pick = None if policy is None else policy(policy_rng)
-    run = Run(session, phi, config, pick, policy_rng, swap_rng)
+    run = Run(session, phi0, config, pick, policy_rng, swap_rng)
     start = time.monotonic()
     logs: list[EpisodeLog] = []
     total_steps = 0
@@ -653,4 +657,4 @@ def replay(
             f"step {k}: {description!r} is not enabled in state {session.current.id!r}"
         )
 
-    return run_episode(Run(session, _normal_form(phi0), LearnerConfig(steps=len(test)), pick))
+    return run_episode(Run(session, phi0, LearnerConfig(steps=len(test)), pick))

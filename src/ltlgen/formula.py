@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from functools import cache
 from itertools import repeat
 
 
@@ -78,7 +77,10 @@ class Interned(Frozen):
 
     The package has one idiom per kind of class: values are ``Interned``,
     records are ``typing.NamedTuple``s, and state is a plain class with
-    ``__slots__`` (a ``Frozen`` one when it never changes).  The engine
+    ``__slots__`` (a ``Frozen`` one when it never changes), such as a
+    session (``model.EnvSession``) or the parser's cursor.  A labeling, the
+    predicates that hold at one step, is a plain ``frozenset``: no class
+    subclasses a builtin but a named tuple, which is a ``tuple``.  The engine
     builds each step's ``engine.StepRecord`` with ``tuple.__new__``, which
     skips the named tuple's Python-level ``__new__`` and builds the same
     record.  The only dataclass is ``engine.LearnerConfig``, which callers
@@ -159,7 +161,7 @@ class Formula(Interned):
     by its conjuncts), which are canonical nodes, so keys hash and compare
     by identity.  Besides its children, a node keeps only its predicate
     count (``atom_count``), computed once, when it is first built;
-    ``atom_set`` derives a formula's distinct predicates once per formula.
+    ``atom_set`` walks a formula for its distinct predicates.
     """
 
     __slots__ = ("atom_count",)
@@ -233,10 +235,9 @@ def count_atoms(phi: Formula) -> int:
     return phi.atom_count
 
 
-@cache
 def atom_set(phi: Formula) -> frozenset[AtomicProposition]:
-    """The distinct predicates appearing anywhere in the formula, computed
-    once per formula.
+    """The distinct predicates appearing anywhere in the formula.  A run
+    reads them once per input formula, through ``engine._start``'s cache.
 
     The walk keeps its own stack, so depth costs no frames, and visits each
     distinct node once, so a shared subformula is read once however many
@@ -346,23 +347,6 @@ def simplify(phi: Formula) -> Formula:
     if isinstance(phi, Until):
         return Until(simplify(phi.left), simplify(phi.right))
     return phi
-
-
-class Labeling(frozenset):
-    """The set of predicates observed true at one trace position.
-
-    A frozenset, so it hashes, compares and serves as a memo key like the
-    set of its predicates."""
-
-    __slots__ = ()
-
-    def __or__(self, other: frozenset) -> Labeling:
-        return Labeling(frozenset.__or__(self, other))
-
-    def __str__(self) -> str:
-        # By fields, not by text: "[a~x]" sorts after "[ab=x]" as text.
-        ordered = sorted(self, key=lambda a: (a.key, a.op, a.value))
-        return "{" + ", ".join(str(a) for a in ordered) + "}"
 
 
 class _Resolved(Interned):

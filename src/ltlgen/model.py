@@ -30,7 +30,7 @@ import random
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .formula import AtomicProposition, Frozen, Interned, Labeling, build, intern
+from .formula import AtomicProposition, Frozen, Interned, build, intern
 
 
 class ModelError(Exception):
@@ -349,6 +349,8 @@ class EnvSession:
     draw, so a session that meets no stochastic transition seeds none.
     """
 
+    __slots__ = ("model", "_seed", "_rng", "current")
+
     def __init__(self, model: AppModel, seed: int = 0):
         self.model = model
         self._seed = seed
@@ -385,20 +387,20 @@ class EnvSession:
         return self.current
 
 
-def state_labeling(state: GuiState, alphabet: Iterable[AtomicProposition]) -> Labeling:
+def state_labeling(state: GuiState, alphabet: Iterable[AtomicProposition]) -> frozenset[AtomicProposition]:
     """Predicates from the alphabet that hold on the state's attributes and widgets."""
     return _labeling(state.observed, alphabet)
 
 
-def action_labeling(action: GuiAction, alphabet: Iterable[AtomicProposition]) -> Labeling:
+def action_labeling(action: GuiAction, alphabet: Iterable[AtomicProposition]) -> frozenset[AtomicProposition]:
     """Predicates from the alphabet that hold on the action, known before execution."""
     return _labeling(action.observed, alphabet)
 
 
-def _labeling(observed: Observed, alphabet: Iterable[AtomicProposition]) -> Labeling:
+def _labeling(observed: Observed, alphabet: Iterable[AtomicProposition]) -> frozenset[AtomicProposition]:
     # No key is observed by both states and actions, so each labeling skips
     # the predicates of the other kind.
-    return Labeling(ap for ap in alphabet if any(map(ap.matches, observed.get(ap.key, ()))))
+    return frozenset(ap for ap in alphabet if any(map(ap.matches, observed.get(ap.key, ()))))
 
 
 def save_test(path: str | Path, actions: Sequence[GuiAction]) -> None:

@@ -124,6 +124,8 @@ _CONSTANT = {"true": TRUE, "false": FALSE}
 
 
 class _Parser:
+    __slots__ = ("_tokens", "_i")
+
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._i = 0

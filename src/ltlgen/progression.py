@@ -24,7 +24,6 @@ from .formula import (
     Atom,
     FALSE,
     Formula,
-    Labeling,
     Next,
     Not,
     TRUE,
@@ -35,7 +34,7 @@ from .formula import (
 )
 
 
-def evaluate(trace: list[Labeling] | tuple[Labeling, ...], position: int, phi: Formula) -> bool:
+def evaluate(trace: list[frozenset] | tuple[frozenset, ...], position: int, phi: Formula) -> bool:
     """Pointwise truth of ``phi`` at ``position``.
 
     Positions at or beyond the end of the trace carry no labels: every
@@ -79,7 +78,7 @@ def expand(phi: Formula) -> Formula:
     return phi
 
 
-def restrict(phi: Formula, labels: Labeling, *, action_only: bool = False) -> Formula:
+def restrict(phi: Formula, labels: frozenset, *, action_only: bool = False) -> Formula:
     """Replace exposed predicates by their observed truth.
 
     Predicates under a next operator are untouched.  With ``action_only``,
@@ -115,7 +114,7 @@ def advance(phi: Formula) -> Formula:
 
 
 @functools.cache
-def projection(phi: Formula, labels: Labeling) -> Verdict:
+def projection(phi: Formula, labels: frozenset) -> Verdict:
     """Consume one position's labeling and return the verdict on the rest.
 
     Equal to ``Verdict(simplify(advance(restrict(expand(phi), labels))))``,

@@ -15,7 +15,6 @@ from ltlgen import (
     EnvSession,
     FALSE,
     Formula,
-    Labeling,
     Next,
     Not,
     QStore,
@@ -35,8 +34,8 @@ P = AtomicProposition("p", "=", "1")
 Q = AtomicProposition("q", "=", "1")
 
 
-def lab(*atoms: AtomicProposition) -> Labeling:
-    return Labeling(frozenset(atoms))
+def lab(*atoms: AtomicProposition) -> frozenset[AtomicProposition]:
+    return frozenset(atoms)
 
 
 def enumerate_formulas(max_ops: int, leaves: list[Formula]) -> list[Formula]:
@@ -202,7 +201,7 @@ def reference_learn(store, decision, reward, config, eta, rng, action_labels=Non
     hashes the whole tail."""
     tail, _ = decision
     if action_labels is None:
-        action_labels = store.action_labels.get(decision, Labeling())
+        action_labels = store.action_labels.get(decision, frozenset())
     store.action_labels.setdefault(decision, action_labels)
     if tail not in store.seen_tails:
         store.seen_tails.add(tail)

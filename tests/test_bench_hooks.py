@@ -84,7 +84,7 @@ def test_counted_projection_keys_are_the_runs_distinct_steps(needle):
         patches.restore()
     pairs = set()
     for log in result.episodes:
-        before = ltlgen.engine._normal_form(phi)
+        before = ltlgen.engine._start(phi)[0]
         for record in log.steps:
             pairs.add((before, record.labels))
             before = record.formula

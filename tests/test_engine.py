@@ -14,7 +14,6 @@ from ltlgen import (
     Decision,
     EnvSession,
     GuiAction,
-    Labeling,
     LearnerConfig,
     Next,
     QStore,
@@ -30,6 +29,7 @@ from ltlgen import (
     prune_and_predict,
     random_policy_generate,
     replay,
+    simplify,
 )
 from ltlgen import engine
 from ltlgen.engine import CONTINUE, DEAD_END, SATISFIED, Prediction, Run, StepRecord, run_episode
@@ -159,7 +159,7 @@ def test_step_record_repr_is_unchanged():
     # The text the frozen dataclass printed.
     assert repr(record) == (
         "StepRecord(index=0, action=GuiAction(action_type='click', params=('10', '10'), "
-        "target='0:0', detail='Go'), labels=Labeling({AtomicProposition(key='activity', "
+        "target='0:0', detail='Go'), labels=frozenset({AtomicProposition(key='activity', "
         "op='~', value='Main')}), formula=Next(operand=Atom(ap=AtomicProposition("
         "key='activity', op='~', value='Main'))), reward=0.5)"
     )
@@ -245,7 +245,7 @@ def test_learn_full_step_reaches_the_reward():
     store = QStore()
     config = dataclasses.replace(LearnerConfig(), vigilance=10.0, doubleness=0.5)
     d = decision_for(BACK)
-    delta = learn(store, d, 1.0, config, eta=1.0, rng=FixedRoll(0.9), action_labels=Labeling())
+    delta = learn(store, d, 1.0, config, eta=1.0, rng=FixedRoll(0.9), action_labels=frozenset())
     assert delta == 1.0
     assert store.q1[d] == 1.0
 
@@ -254,7 +254,7 @@ def test_learn_clamps_at_vigilance():
     store = QStore()
     config = dataclasses.replace(LearnerConfig(), vigilance=0.5)
     d = decision_for(BACK)
-    learn(store, d, 1.0, config, eta=1.0, rng=FixedRoll(0.9), action_labels=Labeling())
+    learn(store, d, 1.0, config, eta=1.0, rng=FixedRoll(0.9), action_labels=frozenset())
     assert store.q1[d] == 0.5
 
 
@@ -264,7 +264,7 @@ def test_zero_doubleness_keeps_tables_equal():
     d = decision_for(BACK)
     rng = random.Random(3)
     for reward in (0.4, -0.2, 1.0):
-        learn(store, d, reward, config, eta=0.5, rng=rng, action_labels=Labeling())
+        learn(store, d, reward, config, eta=0.5, rng=rng, action_labels=frozenset())
         assert store.q1[d] == store.q2[d]
 
 
@@ -282,7 +282,7 @@ def test_seen_tail_skips_bootstrap():
     store = QStore()
     labels = lab(TYPE_PAUSE)
     config = dataclasses.replace(LearnerConfig(), vigilance=10.0)
-    learn(store, decision_for(BACK), 0.5, config, eta=1.0, rng=FixedRoll(0.9), action_labels=Labeling())
+    learn(store, decision_for(BACK), 0.5, config, eta=1.0, rng=FixedRoll(0.9), action_labels=frozenset())
     store.qa1[labels] = 0.7
     # same (empty) tail, different action: no reseeding happens
     delta = learn(store, decision_for(PAUSE), 1.0, config, eta=1.0, rng=FixedRoll(0.9), action_labels=labels)
@@ -293,11 +293,11 @@ def test_eligibility_decays_and_drops():
     store = QStore()
     config = dataclasses.replace(LearnerConfig(), elig_decay=0.5, elig_min=0.2, vigilance=10.0)
     first, second = decision_for(BACK), decision_for(PAUSE)
-    learn(store, first, 0.1, config, eta=1.0, rng=FixedRoll(0.9), action_labels=Labeling())
+    learn(store, first, 0.1, config, eta=1.0, rng=FixedRoll(0.9), action_labels=frozenset())
     assert store.elig[first] == 0.5
-    learn(store, second, 0.1, config, eta=1.0, rng=FixedRoll(0.9), action_labels=Labeling())
+    learn(store, second, 0.1, config, eta=1.0, rng=FixedRoll(0.9), action_labels=frozenset())
     assert store.elig[first] == 0.25
-    learn(store, second, 0.1, config, eta=1.0, rng=FixedRoll(0.9), action_labels=Labeling())
+    learn(store, second, 0.1, config, eta=1.0, rng=FixedRoll(0.9), action_labels=frozenset())
     assert first not in store.elig  # 0.125 fell below the threshold
     assert store.elig[second] == 0.75  # (0.5 + 1) * 0.5
 
@@ -306,7 +306,7 @@ def test_swap_exchanges_both_table_pairs():
     store = QStore()
     config = dataclasses.replace(LearnerConfig(), doubleness=1.0, vigilance=10.0)
     d = decision_for(BACK)
-    learn(store, d, 1.0, config, eta=1.0, rng=FixedRoll(0.1), action_labels=Labeling())
+    learn(store, d, 1.0, config, eta=1.0, rng=FixedRoll(0.1), action_labels=frozenset())
     # with doubleness=1 the q2 side stays 0; the swap moved the learned value there
     assert store.q2[d] == 1.0
     assert store.q1[d] == 0.0
@@ -492,7 +492,7 @@ def first_visits(phi0, logs, states):
     states = iter(states)
     visits = {}
     for log in logs:
-        phi = engine._normal_form(phi0)
+        phi = engine._start(phi0)[0]
         for record in log.steps:
             visits.setdefault((phi, record.action, next(states)), record)
             phi = record.formula
@@ -533,9 +533,7 @@ def test_replay_starts_its_own_edge_table(needle, monkeypatch):
     assert records(logs[0]) == records(logs[1]) == records(result.episodes[-1])
     # An episode reading a warm table logs what a fresh table gives.
     config = LearnerConfig(steps=len(result.test))
-    run = Run(
-        EnvSession(needle), engine._normal_form(phi), config, lambda k, enabled: result.test[k]
-    )
+    run = Run(EnvSession(needle), phi, config, lambda k, enabled: result.test[k])
     for _ in range(2):
         assert records(run_episode(run)) == records(logs[0])
     assert len(run.edges) == len(visits)
@@ -580,6 +578,22 @@ def lobby_model() -> dict:
             }
         ],
     }
+
+
+def test_a_run_of_raw_text_starts_where_generate_starts(chesswalk):
+    # Runs of one input, however built, read one start: its normal form and
+    # that form's alphabet, computed once.
+    text = "!![activity~Main] & X [activity~About] & true"
+    engine._start.cache_clear()
+    run = Run(EnvSession(chesswalk), parse(text), LearnerConfig())
+    assert run.phi is simplify(parse(text)) and run.phi is not parse(text)
+    assert run.alphabet == atom_set(run.phi)
+    again = Run(EnvSession(chesswalk), parse(text), LearnerConfig())
+    assert again.phi is run.phi and again.alphabet is run.alphabet
+    result = generate(chesswalk, parse(text), LearnerConfig(seed=0))
+    assert replay(chesswalk, result.test, parse(text)).satisfied
+    info = engine._start.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_step_cap_limits_an_episode(chesswalk):

@@ -13,7 +13,6 @@ from ltlgen import (
     AtomicProposition,
     Decision,
     EnvSession,
-    Labeling,
     LearnerConfig,
     Next,
     Not,
@@ -145,15 +144,15 @@ class RecordingSession(EnvSession):
 def test_memoized_step_labels_equal_direct_labeling(model_a, model_b, phi, seed):
     # Both models name their states s0, s1, ...: a memo keyed by state id
     # would hand one model's labels to the other's states.
-    alphabet = atom_set(phi)
-    action_alphabet = frozenset(ap for ap in alphabet if ap.is_action)
-    state_alphabet = alphabet - action_alphabet
     sessions = [RecordingSession(model_a, seed=seed), RecordingSession(model_b, seed=seed)]
     config = LearnerConfig(steps=5, seed=seed)
     runs = [
         (Run(session, phi, config, lambda k, enabled: enabled[0]), Run(session, phi, config))
         for session in sessions
     ]
+    alphabet = atom_set(runs[0][0].phi)
+    action_alphabet = frozenset(ap for ap in alphabet if ap.is_action)
+    state_alphabet = alphabet - action_alphabet
     logs = ([], [])
     for index in range(8):
         # Alternate the two models, and on each the first enabled action with
@@ -214,8 +213,8 @@ def test_edge_table_entries_equal_direct_progression(model_a, model_b, phi, shap
     for index in range(8):
         which = index % 2
         logs[which].append(run_episode(runs[which][index // 2 % 2]))
-    for session, model_logs in zip(sessions, logs):
-        assert_steps_equal_direct_progression(phi, model_logs, session.reached, shaping)
+    for session, model_logs, (picked, _) in zip(sessions, logs, runs):
+        assert_steps_equal_direct_progression(picked.phi, model_logs, session.reached, shaping)
 
 
 # A coin: from start, one click reaches heads or tails at even odds; a swipe
@@ -259,7 +258,7 @@ def play(pick_type, phi, seed, episodes):
     session = RecordingSession(COIN, seed=seed)
     run = Run(session, phi, LearnerConfig(steps=4, seed=seed), pick)
     logs = [run_episode(run) for _ in range(episodes)]
-    assert_steps_equal_direct_progression(phi, logs, session.reached, run.config.shaping)
+    assert_steps_equal_direct_progression(run.phi, logs, session.reached, run.config.shaping)
     return session
 
 
@@ -406,7 +405,7 @@ learn_steps = st.tuples(
     st.floats(-2.0, 2.0),
     st.floats(0.01, 1.0),
     st.integers(0, 2**32 - 1),
-    st.none() | st.frozensets(st.sampled_from(PREDICATES[6:]), max_size=2).map(Labeling),
+    st.none() | st.frozensets(st.sampled_from(PREDICATES[6:]), max_size=2).map(frozenset),
 )
 
 

@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 import ltlgen
-from ltlgen import AtomicProposition, EnvSession, Labeling, LearnerConfig, QStore, generate, parse
+from ltlgen import AtomicProposition, EnvSession, LearnerConfig, QStore, generate, parse
 from ltlgen import cli, engine, formula, model, parser, progression
 from ltlgen.engine import EpisodeLog, RunStats, StepRecord
 from ltlgen.model import AppModel, GuiState, Widget
@@ -27,6 +27,27 @@ def test_learner_config_is_the_only_dataclass():
     }
     assert {cls for cls in classes if dataclasses.is_dataclass(cls)} == {LearnerConfig}
     assert dataclasses.replace(LearnerConfig(), seed=3).seed == 3
+
+
+def test_every_class_follows_the_idiom_of_its_kind():
+    defined = {
+        obj
+        for module in MODULES
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    }
+    assert {LearnerConfig, EnvSession, parser._Parser, formula.Verdict} <= defined
+    for cls in defined:
+        named_tuple = issubclass(cls, tuple) and hasattr(cls, "_fields")
+        exception = issubclass(cls, BaseException)
+        if exception or cls is LearnerConfig:
+            continue
+        assert issubclass(cls, formula.Frozen) or named_tuple or "__slots__" in vars(cls), cls
+        # A labeling is a plain frozenset, not a subclass of one.
+        builtins = {base for base in cls.__mro__ if base.__module__ == "builtins"} - {object}
+        assert builtins == ({tuple} if named_tuple else set()), cls
+        # Slots over a base without them would still give each object a __dict__.
+        assert not any("__dict__" in vars(base) for base in cls.__mro__), cls
 
 
 def same(a, b) -> bool:
@@ -123,8 +144,8 @@ def test_subclasses_intern_their_own_objects():
 def test_labeling_text_sorts_by_fields_not_text():
     # As text "[ab=x]" sorts first; by (key, op, value), as the log always
     # has, "[a~x]" does.
-    labels = Labeling((AtomicProposition("ab", "=", "x"), AtomicProposition("a", "~", "x")))
-    assert str(labels) == "{[a~x], [ab=x]}"
+    labels = frozenset((AtomicProposition("ab", "=", "x"), AtomicProposition("a", "~", "x")))
+    assert cli._labels_text(labels) == "{[a~x], [ab=x]}"
 
 
 
