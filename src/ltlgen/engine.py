@@ -62,7 +62,11 @@ with comparisons, not ``min``/``max`` calls.
 ``run_episode`` is the only loop that executes actions.  The learner, the
 uniform baseline and replay differ only in their run's pick: a run with a
 pick screens nothing, learns nothing and keeps no tail, which only the
-learner reads.
+learner reads.  The baseline's pick, which ``_uniform`` returns, is one
+Python frame bound to its stream's ``getrandbits``: it draws what
+``random.Random.choice`` draws, by the same algorithm, without the two
+frames of the library's.  A baseline run builds no swap stream, though its
+seed is still drawn, so the session's seed stays the third draw.
 
 The classes follow the package's one idiom (``formula.Interned``):
 decisions are interned values; step records, predictions, run statistics
@@ -468,8 +472,9 @@ class Run:
     The run starts from the normal form of the input formula ``phi0``, as
     every run of that input does, and builds its own store and edge table.
     Without ``pick`` the learner chooses, and without streams both are
-    drawn from ``config.seed`` as ``_drive`` draws them.  The schedule
-    starts at ``config``'s initial temperature, epsilon and eta.
+    drawn from ``config.seed`` as ``_drive`` draws them; a run with a pick
+    learns nothing, so it needs no swap stream.  The schedule starts at
+    ``config``'s initial temperature, epsilon and eta.
     """
 
     __slots__ = (
@@ -578,8 +583,25 @@ def run_episode(run: Run, index: int = 1) -> EpisodeLog:
 
 
 def _uniform(rng: random.Random) -> Pick:
-    """The baseline's pick: one uniform draw from the enabled actions per step."""
-    return lambda k, enabled: rng.choice(enabled)
+    """The baseline's pick: one uniform draw from the enabled actions per
+    step, the one ``rng.choice(enabled)`` makes.
+
+    ``Random.choice`` draws ``getrandbits(k)`` for ``k = n.bit_length()``
+    until the draw is below ``n``, the number of actions (CPython 3.10 to
+    3.13); this pick runs that loop in its own frame.  Enabled tuples are
+    never empty.
+    """
+    getrandbits = rng.getrandbits
+
+    def pick(k: int, enabled: Sequence[GuiAction]) -> GuiAction:
+        n = len(enabled)
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return enabled[r]
+
+    return pick
 
 
 def _drive(
@@ -591,9 +613,11 @@ def _drive(
     config.validate()
     master = random.Random(config.seed)
     policy_rng = random.Random(master.getrandbits(64))
-    swap_rng = random.Random(master.getrandbits(64))
+    swap_seed = master.getrandbits(64)
     session = EnvSession(model, seed=master.getrandbits(64))
     pick = None if policy is None else policy(policy_rng)
+    # Only the learner swaps its tables, so only it builds the swap stream.
+    swap_rng = random.Random(swap_seed) if pick is None else None
     run = Run(session, phi0, config, pick, policy_rng, swap_rng)
     start = time.monotonic()
     logs: list[EpisodeLog] = []

@@ -9,6 +9,13 @@ once.  An :class:`EnvSession` exposes the two observations an episode needs
 from the model: the enabled actions of the current state and the sampled
 successor of an executed action.
 
+A model's transition table is keyed by objects, not ids: it maps each
+``(GuiState, GuiAction)`` pair of a state and an action enabled there to
+the weighted distribution of its successors, ``(GuiState, weight)`` pairs.
+Both kinds of key hash by identity, so a session's step is one lookup that
+hashes no string or signature, and a step with one successor returns the
+state stored in the table.
+
 Actions are hash-consed like formula nodes (``formula.Interned``), in the
 table of their class: one object per distinct action, shared by every model
 that enables it, and compared and hashed by identity.  States and the model
@@ -19,7 +26,9 @@ reads; a loaded state keeps only what its widgets show a formula.
 The pre-launch don't-care state is implicit: it is never listed in a file,
 and the only actions enabled there are the reinitialize actions derived from
 the file's ``initial`` map.  Loading stores them, and their transitions,
-under the don't-care state's id like those of any other state.
+under the don't-care state like those of any other state.  ``DONT_CARE`` is
+one object for the process: copies and unpickled objects come back as it,
+so a copied model's launches are keyed by the state sessions reset to.
 """
 
 from __future__ import annotations
@@ -93,17 +102,26 @@ class GuiState(Frozen):
     def __new__(cls, id: str, observed: Observed) -> GuiState:
         return build(cls, (id, observed))
 
+    def __reduce__(self):
+        # A name makes copy and pickle return the module's object itself.
+        return "DONT_CARE" if self is DONT_CARE else super().__reduce__()
+
 
 DONT_CARE = GuiState(DONT_CARE_ID, {})
 
-Distribution = tuple[tuple[str, float], ...]
+Distribution = tuple[tuple[GuiState, float], ...]
 
 
 class AppModel(Frozen):
     """Validated, immutable model; sessions over it may run in parallel.
 
-    ``enabled`` and ``transitions`` also hold the don't-care state, keyed by
-    ``DONT_CARE_ID``, though ``states`` does not."""
+    ``states`` maps each state id to its state, and ``enabled`` each state
+    id to the state's actions in signature order.  ``transitions`` maps each
+    ``(GuiState, GuiAction)`` pair, of a state and an action it enables, to
+    the distribution of successors: ``(GuiState, weight)`` pairs whose
+    weights sum to 1.  ``enabled`` and ``transitions`` also hold the
+    don't-care state, under ``DONT_CARE_ID`` and ``DONT_CARE``, though
+    ``states`` does not."""
 
     __slots__ = ("states", "enabled", "transitions")
 
@@ -111,7 +129,7 @@ class AppModel(Frozen):
         cls,
         states: dict[str, GuiState],
         enabled: dict[str, tuple[GuiAction, ...]],
-        transitions: dict[tuple[str, ActionSig], Distribution],
+        transitions: dict[tuple[GuiState, GuiAction], Distribution],
     ) -> AppModel:
         return build(cls, (states, enabled, transitions))
 
@@ -119,7 +137,7 @@ class AppModel(Frozen):
         return self.enabled[state.id]
 
     def transition(self, state: GuiState, action: GuiAction) -> Distribution:
-        distribution = self.transitions.get((state.id, action.signature))
+        distribution = self.transitions.get((state, action))
         if distribution is None:
             raise ActionNotEnabled(f"state {state.id!r} has no transition for {action.describe()!r}")
         return distribution
@@ -249,8 +267,8 @@ def model_from_dict(data: object, source: str = "<model>") -> AppModel:
 
     states: dict[str, GuiState] = {}
     enabled: dict[str, tuple[GuiAction, ...]] = {}
-    transitions: dict[tuple[str, ActionSig], Distribution] = {}
-    pending: list[tuple[str, str, str]] = []  # (state, action description, target)
+    # Successors by id until every state is built: (state id, action, arrows).
+    arrows_of: list[tuple[str, GuiAction, list[tuple[str, float]]]] = []
 
     for raw_state in states_raw:
         if not isinstance(raw_state, dict) or not isinstance(raw_state.get("id"), str) or not raw_state["id"]:
@@ -304,20 +322,25 @@ def model_from_dict(data: object, source: str = "<model>") -> AppModel:
                 )
             seen_visible.add((action.action_type, action.params))
             actions.append(action)
-            transitions[(state_id, action.signature)] = tuple(arrows)
-            pending.extend((state_id, action.describe(), to) for to, _ in arrows)
+            arrows_of.append((state_id, action, arrows))
         states[state_id] = GuiState(state_id, observed)
         enabled[state_id] = tuple(sorted(actions, key=lambda a: a.signature))
 
-    for state_id, description, target in pending:
-        if target not in states:
-            raise _fail(source, f"state {state_id!r}: action {description!r} targets unknown state {target!r}")
+    transitions: dict[tuple[GuiState, GuiAction], Distribution] = {}
+    for state_id, action, arrows in arrows_of:
+        for target, _ in arrows:
+            if target not in states:
+                raise _fail(
+                    source,
+                    f"state {state_id!r}: action {action.describe()!r} targets unknown state {target!r}",
+                )
+        transitions[(states[state_id], action)] = tuple((states[to], w) for to, w in arrows)
     for activity, target in initial_raw.items():
         if target not in states:
             raise _fail(source, f"initial activity {activity!r} targets unknown state {target!r}")
     launches = tuple(GuiAction("reinitialize", (activity,)) for activity in sorted(initial_raw))
     for launch in launches:
-        transitions[(DONT_CARE_ID, launch.signature)] = ((initial_raw[launch.params[0]], 1.0),)
+        transitions[(DONT_CARE, launch)] = ((states[initial_raw[launch.params[0]]], 1.0),)
     enabled[DONT_CARE_ID] = launches
 
     return AppModel(states, enabled, transitions)
@@ -365,7 +388,7 @@ class EnvSession:
 
     def execute(self, action: GuiAction) -> GuiState:
         # Every enabled action has a transition, so a miss is a disabled action.
-        distribution = self.model.transitions.get((self.current.id, action.signature))
+        distribution = self.model.transitions.get((self.current, action))
         if distribution is None:
             raise ActionNotEnabled(
                 f"{action.describe()!r} is not enabled in state {self.current.id!r}"
@@ -378,13 +401,13 @@ class EnvSession:
             roll = self._rng.random()
             acc = 0.0
             target = distribution[-1][0]
-            for state_id, weight in distribution:
+            for state, weight in distribution:
                 acc += weight
                 if roll < acc:
-                    target = state_id
+                    target = state
                     break
-        self.current = self.model.states[target]
-        return self.current
+        self.current = target
+        return target
 
 
 def state_labeling(state: GuiState, alphabet: Iterable[AtomicProposition]) -> frozenset[AtomicProposition]:

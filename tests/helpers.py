@@ -132,8 +132,7 @@ def shortest_test(model, phi: Formula, steps: int) -> int | None:
         for state, obligation in frontier:
             for action in model.enabled_in(state):
                 action_labels = action_labeling(action, alphabet)
-                for target, _ in model.transition(state, action):
-                    successor = model.states[target]
+                for successor, _ in model.transition(state, action):
                     labels = action_labels | state_labeling(successor, alphabet)
                     verdict = projection(obligation, labels)
                     if verdict.is_true:
@@ -162,8 +161,7 @@ def satisfaction_probability(model, phi: Formula, steps: int) -> Fraction:
             actions = model.enabled_in(state)
             for action in actions:
                 action_labels = action_labeling(action, alphabet)
-                for target, weight in model.transition(state, action):
-                    successor = model.states[target]
+                for successor, weight in model.transition(state, action):
                     labels = action_labels | state_labeling(successor, alphabet)
                     verdict = projection(obligation, labels)
                     share = mass * Fraction(weight) / len(actions)

@@ -374,8 +374,7 @@ def _suite_pruning_soundness(models) -> tuple[int, int]:
                     if action.signature in survivors:
                         continue
                     pruned_total += 1
-                    for successor_id, _ in model.transition(state, action):
-                        successor = model.states[successor_id]
+                    for successor, _ in model.transition(state, action):
                         labels = action_labeling(action, action_alpha) | state_labeling(
                             successor, state_alpha
                         )

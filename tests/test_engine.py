@@ -780,6 +780,23 @@ def test_random_engine_is_deterministic_per_seed(chesswalk):
     assert first.stats.steps == second.stats.steps
 
 
+def test_the_uniform_pick_draws_what_choice_draws():
+    """The baseline's pick reimplements ``random.Random.choice`` for speed,
+    so it must draw the same index and leave the generator in the same
+    state.  CI runs this suite on CPython 3.10 to 3.13, so this test is what
+    catches a change to ``choice``'s algorithm in any of them.  The sizes
+    cover the powers of two and their neighbours up to 64."""
+    for n in range(1, 71):
+        enabled = range(n)
+        for seed in range(50):
+            ours, reference = random.Random(seed), random.Random(seed)
+            pick = engine._uniform(ours)
+            assert [pick(k, enabled) for k in range(200)] == [
+                reference.choice(enabled) for _ in range(200)
+            ], (n, seed)
+            assert ours.getstate() == reference.getstate(), (n, seed)
+
+
 def test_rewards_stay_in_range_and_terminal_is_last(chesswalk):
     config = dataclasses.replace(LearnerConfig(), episodes=30, seed=2)
     result = generate(chesswalk, parse(GO_ABOUT_AND_BACK), config)
@@ -846,6 +863,8 @@ def test_replay_reports_reliability_on_stochastic_model(flaky):
 
 @pytest.mark.parametrize("engine", [generate, random_policy_generate])
 def test_only_a_stochastic_model_seeds_the_environment_generator(engine, needle, flaky, monkeypatch):
+    # The baseline draws the swap generator's seed but builds no generator from it.
+    generators = 3 if engine is generate else 2
     seeded = []
     seed = random.Random.seed
 
@@ -855,8 +874,9 @@ def test_only_a_stochastic_model_seeds_the_environment_generator(engine, needle,
 
     monkeypatch.setattr(random.Random, "seed", counted)
     engine(needle, parse(NEEDLE_B), LearnerConfig(episodes=20))
-    # The master, policy and swap generators; the session never draws.
-    assert len(seeded) == 3
+    # The master and policy generators, and the learner's swap generator;
+    # the session never draws.
+    assert len(seeded) == generators
     seeded.clear()
     engine(flaky, parse("X X [activity~Win]"), LearnerConfig(episodes=20))
-    assert len(seeded) == 4
+    assert len(seeded) == generators + 1

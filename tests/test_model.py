@@ -368,7 +368,7 @@ def test_transition_rejects_undeclared_action(chesswalk):
     with pytest.raises(ActionNotEnabled):
         chesswalk.transition(DONT_CARE, GuiAction("back"))
     assert chesswalk.transition(DONT_CARE, GuiAction("reinitialize", ("MainActivity",))) == (
-        ("main", 1.0),
+        (chesswalk.states["main"], 1.0),
     )
 
 
@@ -425,7 +425,7 @@ def test_fixed_seed_replays_stochastic_transitions(flaky):
 def test_a_session_draws_as_a_generator_seeded_when_it_is_built(flaky):
     start = GuiAction("reinitialize", ("StartActivity",))
     spin = GuiAction("click", ("30", "30"), "0:0", "Spin")
-    distribution = flaky.transitions[("start", spin.signature)]
+    distribution = flaky.transitions[(flaky.states["start"], spin)]
     for seed in (0, 7, 2**64 - 1):
         session = EnvSession(flaky, seed=seed)
         reference = random.Random(seed)
@@ -437,7 +437,53 @@ def test_a_session_draws_as_a_generator_seeded_when_it_is_built(flaky):
                 acc += weight
                 if roll < acc:
                     break
-            assert session.execute(spin).id == expected
+            assert session.execute(spin) is expected
+
+
+def test_an_action_of_an_enabled_signature_with_another_detail_is_not_enabled(chesswalk):
+    # The table is keyed by the action object, and its detail is part of it.
+    session = EnvSession(chesswalk)
+    session.execute(GuiAction("reinitialize", ("MainActivity",)))
+    about = next(a for a in session.enabled_actions() if a.detail == "About")
+    relabelled = GuiAction(about.action_type, about.params, about.target, "Abut")
+    assert relabelled.signature == about.signature
+    with pytest.raises(ActionNotEnabled, match="is not enabled in state 'main'"):
+        session.execute(relabelled)
+    with pytest.raises(ActionNotEnabled, match="state 'main' has no transition for"):
+        chesswalk.transition(session.current, relabelled)
+    assert session.execute(about).id == "about"
+
+
+def test_the_dont_care_state_copies_and_pickles_as_itself():
+    assert copy.copy(DONT_CARE) is DONT_CARE
+    assert copy.deepcopy(DONT_CARE) is DONT_CARE
+    assert pickle.loads(pickle.dumps(DONT_CARE)) is DONT_CARE
+    state = GuiState("a", {"activity": ("MainActivity",)})
+    clone = copy.deepcopy(state)
+    assert clone is not state and (clone.id, clone.observed) == (state.id, state.observed)
+
+
+@pytest.mark.parametrize("name", ["chesswalk_abstract.json", "flaky.json", "needle.json"])
+def test_copied_and_unpickled_models_step_like_the_original(name):
+    original = load_model(MODELS / name)
+
+    def walk(model, seed):
+        # Seeded actions from a seeded session: every state's id and table,
+        # and every enabled tuple, which holds the interned actions.
+        session, chooser, seen = EnvSession(model, seed=seed), random.Random(seed), []
+        for _ in range(30):
+            session.reset()
+            for _ in range(6):
+                enabled = session.enabled_actions()
+                state = session.execute(chooser.choice(enabled))
+                seen.append((enabled, state.id, state.observed))
+        return seen
+
+    first = next(iter(original.states))
+    for clone in (copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+        assert clone.states[first] is not original.states[first]
+        for seed in range(5):
+            assert walk(clone, seed) == walk(original, seed)
 
 
 # --- labelings ---

@@ -520,6 +520,9 @@ def short_schedules(draw):
     ),
     False,
 )
+# A baseline run that tells apart from ``Random.choice`` a pick that draws
+# too few bits or redraws at most once.
+@example(COIN, parse("F [activity~Heads]"), LearnerConfig(episodes=4, steps=4, seed=0), True)
 def test_runs_equal_the_reference_run(model, phi, config, uniform):
     # A cache or table keyed by less than its entry depends on serves a
     # stale entry somewhere in a run; the reference keeps neither.

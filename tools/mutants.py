@@ -57,6 +57,11 @@ MUTANTS = (
      "    return abs(n_after - n_before) / total", "    return -abs(n_after - n_before) / total"),
     ("eligibility trace not cleared per episode", ENGINE,
      "    store.elig.clear()\n", ""),
+    # The uniform pick redraws at most once, or draws too few bits for a power of two.
+    ("pick redraws once at most", ENGINE,
+     "        while r >= n:", "        if r >= n:"),
+    ("pick draws (n - 1).bit_length() bits", ENGINE,
+     "bits = n.bit_length()", "bits = (n - 1).bit_length()"),
 )
 
 
