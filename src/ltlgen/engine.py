@@ -24,7 +24,11 @@ formula's reward machine (see ``progression``) as the run meets them.
 Within a run the alphabet and the shaping flag are fixed, so neither is
 part of the key.  A run's first visit to an edge computes it from the
 tables below, so every run still calls ``projection`` once per edge it
-meets, and the table is freed with the run.
+meets, and the table is freed with the run.  An entry also keeps, by step
+index, the ``StepRecord`` each index's first visit built: a record is the
+edge's values and its index, so every step that repeats the edge at that
+index appends the same immutable record.  The dead end's charge replaces
+the episode's last record with a copy of its own, which no entry keeps.
 
 The edge table lives in the run object, ``Run``, with the rest of what a
 run's episodes share: the session, the formula they start from, the
@@ -46,10 +50,11 @@ action and resulting state object.  So is each input formula's start
 (``_start``): its normal form, which every run of it starts from, and the
 predicates of that form, the run's alphabet.
 
-A step builds only its ``StepRecord`` and the key of its edge.  The record
-is built with ``tuple.__new__(StepRecord, values)``: a named tuple is the
-tuple of its values, so this builds what calling the class builds, without
-the class's Python-level ``__new__``.  A learner step reads its whole
+A step builds only the key of its edge, and its ``StepRecord`` only on its
+edge's first visit at its index.  That record is built with
+``tuple.__new__(StepRecord, values)``: a named tuple is the tuple of its
+values, so this builds what calling the class builds, without the class's
+Python-level ``__new__``.  A learner step reads its whole
 ``Prediction`` from the cache in one lookup, and a verdict carries its
 resolved flags from when it was built.  The learner's step builds no dict
 either, and no decision except the one for an action that satisfies the
@@ -113,8 +118,6 @@ Tail = tuple[tuple[ActionSig, str], ...]
 # Built from collections.abc: typing caches subscripted aliases, and that
 # cache would keep every re-imported copy of this package alive.
 Pick = Callable[[int, Sequence[GuiAction]], GuiAction]
-# A run's edge table; see the module docstring.
-Edges = dict[tuple[Formula, GuiAction, GuiState], tuple[frozenset, frozenset, Verdict, float]]
 
 
 class Decision(Interned):
@@ -157,10 +160,10 @@ class LearnerConfig:
 
     def validate(self) -> None:
         # NaN passes every comparison below, so non-finite values go first.
-        for knob in fields(self):
-            value = getattr(self, knob.name)
+        for name in _KNOBS:
+            value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{knob.name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
         if self.steps < 1:
@@ -196,6 +199,10 @@ class LearnerConfig:
             raise ValueError("seed must be >= 0")
 
 
+# The knob names in declaration order, read once: validate runs once per run.
+_KNOBS = tuple(knob.name for knob in fields(LearnerConfig))
+
+
 class QStore:
     """Tabular double-Q state plus the stateless action-label side tables."""
 
@@ -219,6 +226,14 @@ class StepRecord(NamedTuple):
     labels: frozenset
     formula: Formula
     reward: float
+
+
+# A run's edge table; see the module docstring.  An entry's last element
+# holds the records the edge has produced, by step index.
+Edges = dict[
+    tuple[Formula, GuiAction, GuiState],
+    tuple[frozenset, frozenset, Verdict, float, dict[int, StepRecord]],
+]
 
 
 class EpisodeLog:
@@ -561,8 +576,8 @@ def run_episode(run: Run, index: int = 1) -> EpisodeLog:
             action_labels, labels = _step_labels(action, state, alphabet)
             verdict = projection(phi, labels)
             reward = shaped_reward(phi, verdict, config.shaping)
-            edge = edges[key] = (action_labels, labels, verdict, reward)
-        action_labels, labels, verdict, reward = edge
+            edge = edges[key] = (action_labels, labels, verdict, reward, {})
+        action_labels, labels, verdict, reward, records = edge
         if pick is None:
             learn(
                 store, decision, reward, config, run.eta, run.swap_rng, action_labels=action_labels
@@ -571,8 +586,11 @@ def run_episode(run: Run, index: int = 1) -> EpisodeLog:
             if config.tail_length > 0:
                 tail = (tail + ((action.signature, state.id),))[-config.tail_length:]
         phi = verdict.formula
-        # StepRecord(...) without its Python-level __new__; see the module docstring.
-        steps.append(tuple.__new__(StepRecord, (k, action, labels, phi, reward)))
+        # An edge's record at k is shared by every step that repeats it; see the module docstring.
+        record = records.get(k)
+        if record is None:
+            record = records[k] = tuple.__new__(StepRecord, (k, action, labels, phi, reward))
+        steps.append(record)
         if verdict.is_true:
             outcome = "satisfied"
             break

@@ -9,12 +9,14 @@ once.  An :class:`EnvSession` exposes the two observations an episode needs
 from the model: the enabled actions of the current state and the sampled
 successor of an executed action.
 
-A model's transition table is keyed by objects, not ids: it maps each
+A model's step tables are keyed by objects, not ids: the enabled table
+maps each ``GuiState`` to its actions, and the transition table each
 ``(GuiState, GuiAction)`` pair of a state and an action enabled there to
 the weighted distribution of its successors, ``(GuiState, weight)`` pairs.
-Both kinds of key hash by identity, so a session's step is one lookup that
-hashes no string or signature, and a step with one successor returns the
-state stored in the table.
+Both kinds of key hash by identity, so reading a session's enabled actions
+and taking its step are one lookup each that hashes no string or
+signature, and a step with one successor returns the state stored in the
+table.
 
 Actions are hash-consed like formula nodes (``formula.Interned``), in the
 table of their class: one object per distinct action, shared by every model
@@ -115,26 +117,26 @@ Distribution = tuple[tuple[GuiState, float], ...]
 class AppModel(Frozen):
     """Validated, immutable model; sessions over it may run in parallel.
 
-    ``states`` maps each state id to its state, and ``enabled`` each state
-    id to the state's actions in signature order.  ``transitions`` maps each
-    ``(GuiState, GuiAction)`` pair, of a state and an action it enables, to
-    the distribution of successors: ``(GuiState, weight)`` pairs whose
-    weights sum to 1.  ``enabled`` and ``transitions`` also hold the
-    don't-care state, under ``DONT_CARE_ID`` and ``DONT_CARE``, though
-    ``states`` does not."""
+    ``states`` maps each state id to its state.  The other two tables are
+    keyed by state objects: ``enabled`` maps each ``GuiState`` to its
+    actions in signature order, and ``transitions`` each ``(GuiState,
+    GuiAction)`` pair, of a state and an action it enables, to the
+    distribution of successors: ``(GuiState, weight)`` pairs whose weights
+    sum to 1.  ``enabled`` and ``transitions`` also hold the don't-care
+    state, ``DONT_CARE``, though ``states`` does not."""
 
     __slots__ = ("states", "enabled", "transitions")
 
     def __new__(
         cls,
         states: dict[str, GuiState],
-        enabled: dict[str, tuple[GuiAction, ...]],
+        enabled: dict[GuiState, tuple[GuiAction, ...]],
         transitions: dict[tuple[GuiState, GuiAction], Distribution],
     ) -> AppModel:
         return build(cls, (states, enabled, transitions))
 
     def enabled_in(self, state: GuiState) -> tuple[GuiAction, ...]:
-        return self.enabled[state.id]
+        return self.enabled[state]
 
     def transition(self, state: GuiState, action: GuiAction) -> Distribution:
         distribution = self.transitions.get((state, action))
@@ -266,7 +268,7 @@ def model_from_dict(data: object, source: str = "<model>") -> AppModel:
         raise _fail(source, "'states' must be a nonempty list")
 
     states: dict[str, GuiState] = {}
-    enabled: dict[str, tuple[GuiAction, ...]] = {}
+    enabled: dict[GuiState, tuple[GuiAction, ...]] = {}
     # Successors by id until every state is built: (state id, action, arrows).
     arrows_of: list[tuple[str, GuiAction, list[tuple[str, float]]]] = []
 
@@ -323,8 +325,8 @@ def model_from_dict(data: object, source: str = "<model>") -> AppModel:
             seen_visible.add((action.action_type, action.params))
             actions.append(action)
             arrows_of.append((state_id, action, arrows))
-        states[state_id] = GuiState(state_id, observed)
-        enabled[state_id] = tuple(sorted(actions, key=lambda a: a.signature))
+        state = states[state_id] = GuiState(state_id, observed)
+        enabled[state] = tuple(sorted(actions, key=lambda a: a.signature))
 
     transitions: dict[tuple[GuiState, GuiAction], Distribution] = {}
     for state_id, action, arrows in arrows_of:
@@ -341,7 +343,7 @@ def model_from_dict(data: object, source: str = "<model>") -> AppModel:
     launches = tuple(GuiAction("reinitialize", (activity,)) for activity in sorted(initial_raw))
     for launch in launches:
         transitions[(DONT_CARE, launch)] = ((states[initial_raw[launch.params[0]]], 1.0),)
-    enabled[DONT_CARE_ID] = launches
+    enabled[DONT_CARE] = launches
 
     return AppModel(states, enabled, transitions)
 
@@ -384,7 +386,7 @@ class EnvSession:
         self.current = DONT_CARE
 
     def enabled_actions(self) -> tuple[GuiAction, ...]:
-        return self.model.enabled[self.current.id]
+        return self.model.enabled[self.current]
 
     def execute(self, action: GuiAction) -> GuiState:
         # Every enabled action has a transition, so a miss is a disabled action.

@@ -539,6 +539,75 @@ def test_replay_starts_its_own_edge_table(needle, monkeypatch):
     assert len(run.edges) == len(visits)
 
 
+def test_a_repeated_step_shares_its_record(needle, monkeypatch):
+    # A record is built on its edge's first visit at its index and shared by
+    # every later step at that edge and index.
+    calls = edge_spies(monkeypatch)
+    phi = parse(NEEDLE_B)
+    result = random_policy_generate(needle, phi, LearnerConfig(seed=0))
+    states = iter(calls["states"])
+    shared = {}
+    for log in result.episodes:
+        before = engine._start(phi)[0]
+        for record in log.steps:
+            step = (before, record.action, next(states), record.index)
+            assert shared.setdefault(step, record) is record
+            before = record.formula
+    assert next(states, None) is None
+    built = {id(record) for log in result.episodes for record in log.steps}
+    assert len(built) == len(shared) < result.stats.steps
+
+
+def fork_model() -> dict:
+    """From a, a click reaches b, which enables only back, and back stays on a."""
+    return {
+        "screen": [100, 100],
+        "initial": {"AActivity": "a"},
+        "states": [
+            {
+                "id": "a",
+                "attributes": {"activity": "AActivity", "package": "demo"},
+                "widgets": [{"objectID": "0:0", "text": "Go", "bounds": [0, 0, 20, 20]}],
+                "actions": [
+                    {"type": "click", "on": "0:0", "transitions": [{"to": "b"}]},
+                    {"type": "back", "transitions": [{"to": "a"}]},
+                ],
+            },
+            {
+                "id": "b",
+                "attributes": {"activity": "BActivity", "package": "demo"},
+                "widgets": [],
+                "actions": [{"type": "back", "transitions": [{"to": "a"}]}],
+            },
+        ],
+    }
+
+
+def test_a_dead_end_charge_stays_with_its_episode():
+    # The obligation left by a click is one only another click satisfies,
+    # and b enables none: every episode that clicks at step 1 dead-ends.
+    model = model_from_dict(fork_model())
+    phi = parse("X X [actionType=click]")
+    run = Run(EnvSession(model), phi, LearnerConfig(seed=0))
+    dead = [log for log in (run_episode(run, i) for i in range(1, 41)) if log.outcome == "dead_end"]
+    assert len(dead) >= 2
+    charged = [log.steps[-1] for log in dead]
+    assert all(record.reward == -1.0 for record in charged)
+    assert len({id(record) for record in charged}) == len(dead)
+    (stored,) = [
+        record for *_, records in run.edges.values() for record in records.values()
+        if record[:4] == charged[0][:4]
+    ]
+    assert stored.reward != -1.0 and all(record is not stored for record in charged)
+    # A picked run over the same edge table steps through that edge at that
+    # index without a dead end, and reads the edge's own record.
+    test = [record.action for record in dead[0].steps]
+    picked = Run(EnvSession(model), phi, LearnerConfig(steps=len(test)), lambda k, _: test[k])
+    picked.edges = run.edges
+    log = run_episode(picked)
+    assert log.outcome == "exhausted" and log.steps[-1] is stored
+
+
 # --- episodes ---
 
 def single_path_model() -> dict:

@@ -183,7 +183,8 @@ def test_validation_rejects_params_other_than_strings_and_integers(param):
 def test_integer_params_load_as_text():
     data = minimal_model()
     data["states"][0]["actions"][1]["params"] = ["x", 3]
-    actions = model_from_dict(data).enabled["a"]
+    model = model_from_dict(data)
+    actions = model.enabled[model.states["a"]]
     assert [a.params for a in actions if a.action_type == "back"] == [("x", "3")]
 
 
@@ -352,7 +353,7 @@ def test_execute_rejects_disabled_action_by_name(chesswalk, case):
             action, where = GuiAction("reinitialize", ("MainActivity",)), "main"
         else:
             here = {a.signature for a in session.enabled_actions()}
-            action = next(a for a in chesswalk.enabled["about"] if a.signature not in here)
+            action = next(a for a in chesswalk.enabled[chesswalk.states["about"]] if a.signature not in here)
             where = "main"
     message = f"{action.describe()!r} is not enabled in state {where!r}"
     with pytest.raises(ActionNotEnabled) as caught:
@@ -386,8 +387,9 @@ def test_action_signature_is_stored_but_not_a_field_value():
         assert clone == action and clone.signature == action.signature
     first = load_model(MODELS / "chesswalk_abstract.json")
     second = load_model(MODELS / "chesswalk_abstract.json")
-    for state_id, actions in first.enabled.items():
-        assert all(a is b for a, b in zip(actions, second.enabled[state_id], strict=True))
+    for state, actions in first.enabled.items():
+        twin = second.states.get(state.id, DONT_CARE)
+        assert all(a is b for a, b in zip(actions, second.enabled[twin], strict=True))
 
 
 def test_execute_counts_steps_and_reset(chesswalk):
