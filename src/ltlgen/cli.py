@@ -157,22 +157,21 @@ def _labels_text(labels: frozenset[AtomicProposition]) -> str:
     return "{" + ", ".join(map(str, ordered)) + "}"
 
 
-def _episode_lines(log: EpisodeLog) -> list[str]:
-    lines = []
-    for record in log.steps:
-        lines.append(
-            f"i={log.index} k={record.index} action={record.action.describe()} "
-            f"L={_labels_text(record.labels)} phi={render(record.formula)} r={record.reward:g}"
-        )
-    return lines
+def _episode_lines(i: int, log: EpisodeLog) -> list[str]:
+    """The log lines of episode ``i``, its steps numbered by position."""
+    return [
+        f"i={i} k={k} action={record.action.describe()} "
+        f"L={_labels_text(record.labels)} phi={render(record.formula)} r={record.reward:g}"
+        for k, record in enumerate(log.steps)
+    ]
 
 
 def _emit_logs(args: argparse.Namespace, result: GenerationResult) -> None:
     if not args.log and not args.verbose:
         return
     lines = []
-    for log in result.episodes:
-        lines.extend(_episode_lines(log))
+    for i, log in enumerate(result.episodes, 1):
+        lines.extend(_episode_lines(i, log))
     if args.log:
         Path(args.log).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if args.verbose:
@@ -207,7 +206,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     satisfied = 0
     for attempt in range(args.times):
         log = replay(model, records, phi, seed=args.seed + attempt)
-        for line in _episode_lines(log):
+        # Each attempt replays one episode, so it is always episode 1.
+        for line in _episode_lines(1, log):
             print(line)
         print(f"attempt={attempt} verdict={log.outcome}")
         if log.satisfied:

@@ -19,16 +19,17 @@ the dead end.
 
 Once its action has executed, a step reads one table, the run's edge
 table: a plain dict from (obligation, action, resulting state) to the
-step's action labels, labels, verdict and reward, the transitions of the
-formula's reward machine (see ``progression``) as the run meets them.
-Within a run the alphabet and the shaping flag are fixed, so neither is
-part of the key.  A run's first visit to an edge computes it from the
-tables below, so every run still calls ``projection`` once per edge it
-meets, and the table is freed with the run.  An entry also keeps, by step
-index, the ``StepRecord`` each index's first visit built: a record is the
-edge's values and its index, so every step that repeats the edge at that
-index appends the same immutable record.  The dead end's charge replaces
-the episode's last record with a copy of its own, which no entry keeps.
+step's action labels, its verdict and its ``StepRecord``, the transitions
+of the formula's reward machine (see ``progression``) as the run meets
+them.  Within a run the alphabet and the shaping flag are fixed, so
+neither is part of the key.  A run's first visit to an edge computes it
+from the tables below, so every run still calls ``projection`` once per
+edge it meets, and the table is freed with the run.  A record is the
+edge's action, labels, resulting obligation and reward, and nothing else:
+a step's position is its place in its episode's list, and an episode's
+its place in the run's, so every step that repeats an edge appends the
+edge's one immutable record.  The dead end's charge replaces the
+episode's last record with a copy of its own, which no entry keeps.
 
 The edge table lives in the run object, ``Run``, with the rest of what a
 run's episodes share: the session, the formula they start from, the
@@ -36,9 +37,9 @@ learner's tables and config, the pick, the policy's and the swaps' random
 streams, the formula's alphabet and the annealing schedule.  A run takes
 the input formula and starts from its normal form, and it builds its own
 store and edge table, so both belong to its formula and config.
-``run_episode(run, index)`` drives one episode of a run, and it is the one
-way to drive one: ``_drive`` builds a run per generation run and ``replay``
-one per replayed test, so an episode fills no defaults and computes no
+``run_episode(run)`` drives one episode of a run, and it is the one way to
+drive one: ``_drive`` builds a run per generation run and ``replay`` one
+per replayed test, so an episode fills no defaults and computes no
 alphabet.
 
 Every other table is a cached pure function of its arguments, kept for the
@@ -51,8 +52,8 @@ action and resulting state object.  So is each input formula's start
 predicates of that form, the run's alphabet.
 
 A step builds only the key of its edge, and its ``StepRecord`` only on its
-edge's first visit at its index.  That record is built with
-``tuple.__new__(StepRecord, values)``: a named tuple is the tuple of its
+edge's first visit.  Records, and each episode's ``EpisodeLog``, are built
+with ``tuple.__new__(cls, values)``: a named tuple is the tuple of its
 values, so this builds what calling the class builds, without the class's
 Python-level ``__new__``.  A learner step reads its whole
 ``Prediction`` from the cache in one lookup, and a verdict carries its
@@ -74,11 +75,11 @@ frames of the library's.  A baseline run builds no swap stream, though its
 seed is still drawn, so the session's seed stays the third draw.
 
 The classes follow the package's one idiom (``formula.Interned``):
-decisions are interned values; step records, predictions, run statistics
-and generation results are named tuples; the learner's tables
-(``QStore``), a run (``Run``) and an episode's log are ``__slots__``
-classes; labelings are frozensets.  ``LearnerConfig`` is the one
-dataclass, since callers copy it with ``dataclasses.replace``.
+decisions are interned values; step records, episode logs, predictions,
+run statistics and generation results are named tuples; the learner's
+tables (``QStore``) and a run (``Run``) are ``__slots__`` classes;
+labelings are frozensets.  ``LearnerConfig`` is the one dataclass, since
+callers copy it with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -221,33 +222,22 @@ class QStore:
 class StepRecord(NamedTuple):
     """One executed action: its labeling, the remaining obligation and its reward."""
 
-    index: int
     action: GuiAction
     labels: frozenset
     formula: Formula
     reward: float
 
 
-# A run's edge table; see the module docstring.  An entry's last element
-# holds the records the edge has produced, by step index.
-Edges = dict[
-    tuple[Formula, GuiAction, GuiState],
-    tuple[frozenset, frozenset, Verdict, float, dict[int, StepRecord]],
-]
+# A run's edge table; see the module docstring.
+Edges = dict[tuple[Formula, GuiAction, GuiState], tuple[frozenset, Verdict, StepRecord]]
 
 
-class EpisodeLog:
+class EpisodeLog(NamedTuple):
     """One episode's executed steps and how it ended: satisfied, falsified,
     dead_end or exhausted."""
 
-    # A record, but built once per episode: a slotted __init__ costs less
-    # than a named tuple's __new__.
-    __slots__ = ("index", "steps", "outcome")
-
-    def __init__(self, index: int, steps: list[StepRecord], outcome: str) -> None:
-        self.index = index
-        self.steps = steps
-        self.outcome = outcome
+    steps: list[StepRecord]
+    outcome: str
 
     @property
     def satisfied(self) -> bool:
@@ -521,7 +511,7 @@ class Run:
         self.temperature, self.epsilon, self.eta = config.t0, config.eps0, config.eta0
 
 
-def run_episode(run: Run, index: int = 1) -> EpisodeLog:
+def run_episode(run: Run) -> EpisodeLog:
     """Drive one episode of ``run`` from the don't-care state until the
     verdict resolves or the step budget runs out.  Clears the eligibility
     trace first.
@@ -529,6 +519,9 @@ def run_episode(run: Run, index: int = 1) -> EpisodeLog:
     Without a pick the learner screens, chooses and learns.  With one, step
     ``k`` executes ``pick(k, enabled)`` and nothing is screened or learned;
     the uniform baseline and replay are such picks.
+
+    Each step appends its edge's one record, so a step's number is its
+    position in the log's ``steps``; the log stores no number of its own.
     """
     session = run.session
     store = run.store
@@ -576,20 +569,18 @@ def run_episode(run: Run, index: int = 1) -> EpisodeLog:
             action_labels, labels = _step_labels(action, state, alphabet)
             verdict = projection(phi, labels)
             reward = shaped_reward(phi, verdict, config.shaping)
-            edge = edges[key] = (action_labels, labels, verdict, reward, {})
-        action_labels, labels, verdict, reward, records = edge
+            record = tuple.__new__(StepRecord, (action, labels, verdict.formula, reward))
+            edge = edges[key] = (action_labels, verdict, record)
+        action_labels, verdict, record = edge
         if pick is None:
             learn(
-                store, decision, reward, config, run.eta, run.swap_rng, action_labels=action_labels
+                store, decision, record.reward, config, run.eta, run.swap_rng,
+                action_labels=action_labels,
             )
             previous = decision
             if config.tail_length > 0:
                 tail = (tail + ((action.signature, state.id),))[-config.tail_length:]
         phi = verdict.formula
-        # An edge's record at k is shared by every step that repeats it; see the module docstring.
-        record = records.get(k)
-        if record is None:
-            record = records[k] = tuple.__new__(StepRecord, (k, action, labels, phi, reward))
         steps.append(record)
         if verdict.is_true:
             outcome = "satisfied"
@@ -597,7 +588,7 @@ def run_episode(run: Run, index: int = 1) -> EpisodeLog:
         if verdict.is_false:
             outcome = "falsified"
             break
-    return EpisodeLog(index, steps, outcome)
+    return tuple.__new__(EpisodeLog, (steps, outcome))
 
 
 def _uniform(rng: random.Random) -> Pick:
@@ -641,8 +632,8 @@ def _drive(
     logs: list[EpisodeLog] = []
     total_steps = 0
     test: list[GuiAction] | None = None
-    for i in range(1, config.episodes + 1):
-        log = run_episode(run, i)
+    for _ in range(config.episodes):
+        log = run_episode(run)
         logs.append(log)
         total_steps += len(log.steps)
         if log.outcome == "satisfied":

@@ -81,10 +81,12 @@ class Interned(Frozen):
     session (``model.EnvSession``) or the parser's cursor.  A labeling, the
     predicates that hold at one step, is a plain ``frozenset``: no class
     subclasses a builtin but a named tuple, which is a ``tuple``.  The engine
-    builds each step's ``engine.StepRecord`` with ``tuple.__new__``, which
-    skips the named tuple's Python-level ``__new__`` and builds the same
-    record.  The only dataclass is ``engine.LearnerConfig``, which callers
-    copy with ``dataclasses.replace``.
+    builds its records, one ``engine.StepRecord`` per edge of a run and one
+    ``engine.EpisodeLog`` per episode, with ``tuple.__new__``, which skips
+    the named tuple's Python-level ``__new__`` and builds the same record;
+    no record stores its position in the list that holds it.  The only
+    dataclass is ``engine.LearnerConfig``, which callers copy with
+    ``dataclasses.replace``.
     """
 
     __slots__ = ()

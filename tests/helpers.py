@@ -267,8 +267,8 @@ def reference_run(model, phi, config, uniform):
     ``reference_decide_next_action``.  The streams are seeded as ``_drive``
     seeds them: master, then policy, then swap, then session.
 
-    Returns each episode as ``(index, records, outcome)``, a record being
-    ``(k, action, labels, obligation, reward)``, and the store."""
+    Returns each episode as ``(records, outcome)``, a record being
+    ``(action, labels, obligation, reward)``, and the store."""
     phi = simplify(phi)
     alphabet = atom_set(phi)
     master = random.Random(config.seed)
@@ -278,11 +278,11 @@ def reference_run(model, phi, config, uniform):
     store = QStore()
     temperature, epsilon, eta = config.t0, config.eps0, config.eta0
     episodes = []
-    for index in range(1, config.episodes + 1):
+    for _ in range(config.episodes):
         session.reset()
         store.elig.clear()
         obligation, tail, records, previous, outcome = phi, (), [], None, "exhausted"
-        for k in range(config.steps):
+        for _ in range(config.steps):
             enabled = session.enabled_actions()
             if uniform:
                 action = policy_rng.choice(enabled)
@@ -303,7 +303,7 @@ def reference_run(model, phi, config, uniform):
                     if shortcut is None and not survivors:
                         if previous is not None:
                             reference_learn(store, previous, -1.0, config, eta, swap_rng)
-                            records[-1] = records[-1][:4] + (-1.0,)
+                            records[-1] = records[-1][:3] + (-1.0,)
                         outcome = "dead_end"
                         break
                 if shortcut is not None:
@@ -333,7 +333,7 @@ def reference_run(model, phi, config, uniform):
                 previous = decision
                 if config.tail_length > 0:
                     tail = (tail + ((action.signature, state.id),))[-config.tail_length:]
-            records.append((k, action, labels, after, reward))
+            records.append((action, labels, after, reward))
             obligation = after
             if after is TRUE:
                 outcome = "satisfied"
@@ -341,7 +341,7 @@ def reference_run(model, phi, config, uniform):
             if after is FALSE:
                 outcome = "falsified"
                 break
-        episodes.append((index, records, outcome))
+        episodes.append((records, outcome))
         if outcome == "satisfied":
             break
         if not uniform:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 import random
@@ -32,7 +33,16 @@ from ltlgen import (
     simplify,
 )
 from ltlgen import engine
-from ltlgen.engine import CONTINUE, DEAD_END, SATISFIED, Prediction, Run, StepRecord, run_episode
+from ltlgen.engine import (
+    CONTINUE,
+    DEAD_END,
+    SATISFIED,
+    EpisodeLog,
+    Prediction,
+    Run,
+    StepRecord,
+    run_episode,
+)
 from conftest import GO_ABOUT_AND_BACK, NEEDLE_A, NEEDLE_B, NEEDLE_C
 from helpers import FixedRoll, lab
 
@@ -135,8 +145,13 @@ def test_decide_is_seed_deterministic():
 # --- step records and screening results ---
 
 def test_record_types_keep_their_fields_and_defaults():
-    assert StepRecord._fields == ("index", "action", "labels", "formula", "reward")
+    # No record stores its position: a step's is its place in its episode's
+    # list, and an episode's its place in the run's.
+    assert StepRecord._fields == ("action", "labels", "formula", "reward")
     assert StepRecord._field_defaults == {}
+    assert EpisodeLog._fields == ("steps", "outcome")
+    assert EpisodeLog._field_defaults == {}
+    assert list(inspect.signature(run_episode).parameters) == ["run"]
     assert Prediction._fields == ("kind", "action", "survivors")
     assert Prediction._field_defaults == {"action": None, "survivors": ()}
     prediction = Prediction(DEAD_END)
@@ -144,21 +159,26 @@ def test_record_types_keep_their_fields_and_defaults():
 
 
 def test_record_types_are_immutable():
-    record = StepRecord(0, CLICK, lab(ACTIVITY_MAIN), TRUE, 1.0)
+    record = StepRecord(CLICK, lab(ACTIVITY_MAIN), TRUE, 1.0)
     with pytest.raises(AttributeError):
         record.reward = -1.0
     with pytest.raises(AttributeError):
         record.extra = 1
     with pytest.raises(AttributeError):
         Prediction(SATISFIED, action=CLICK).survivors = ()
-    assert record.reward == 1.0
+    log = EpisodeLog([record], "satisfied")
+    with pytest.raises(AttributeError):
+        log.outcome = "falsified"
+    with pytest.raises(AttributeError):
+        log.extra = 1
+    assert record.reward == 1.0 and log.outcome == "satisfied" and log.satisfied
 
 
 def test_step_record_repr_is_unchanged():
-    record = StepRecord(0, CLICK, lab(ACTIVITY_MAIN), Next(Atom(ACTIVITY_MAIN)), 0.5)
-    # The text the frozen dataclass printed.
+    record = StepRecord(CLICK, lab(ACTIVITY_MAIN), Next(Atom(ACTIVITY_MAIN)), 0.5)
+    # The text the frozen dataclass printed for these fields.
     assert repr(record) == (
-        "StepRecord(index=0, action=GuiAction(action_type='click', params=('10', '10'), "
+        "StepRecord(action=GuiAction(action_type='click', params=('10', '10'), "
         "target='0:0', detail='Go'), labels=frozenset({AtomicProposition(key='activity', "
         "op='~', value='Main')}), formula=Next(operand=Atom(ap=AtomicProposition("
         "key='activity', op='~', value='Main'))), reward=0.5)"
@@ -166,12 +186,15 @@ def test_step_record_repr_is_unchanged():
 
 
 def test_step_record_equals_the_tuple_of_its_values():
-    values = (2, BACK, lab(ACTIVITY_MAIN), TRUE, 0.25)
+    values = (BACK, lab(ACTIVITY_MAIN), TRUE, 0.25)
     record = StepRecord(*values)
     assert record == values and hash(record) == hash(values)
     charged = record._replace(reward=-1.0)
-    assert charged == values[:4] + (-1.0,)
+    assert charged == values[:3] + (-1.0,)
     assert record.reward == 0.25
+    steps = [record]
+    log = EpisodeLog(steps, "dead_end")
+    assert log == (steps, "dead_end") and log.steps is steps and not log.satisfied
 
 
 # --- decisions ---
@@ -300,6 +323,19 @@ def test_eligibility_decays_and_drops():
     learn(store, second, 0.1, config, eta=1.0, rng=FixedRoll(0.9), action_labels=frozenset())
     assert first not in store.elig  # 0.125 fell below the threshold
     assert store.elig[second] == 0.75  # (0.5 + 1) * 0.5
+
+
+def test_a_trace_decayed_onto_the_floor_stays_eligible():
+    # The floor is inclusive: with elig_decay = elig_min = 1, a valid config,
+    # no trace ever decays below it, so every decision stays eligible.
+    store = QStore()
+    config = dataclasses.replace(LearnerConfig(), elig_decay=1.0, elig_min=1.0)
+    config.validate()
+    first, second = decision_for(BACK), decision_for(PAUSE)
+    learn(store, first, 0.1, config, eta=1.0, rng=FixedRoll(0.9), action_labels=frozenset())
+    assert store.elig == {first: 1.0}
+    learn(store, second, 0.1, config, eta=1.0, rng=FixedRoll(0.9), action_labels=frozenset())
+    assert store.elig == {first: 1.0, second: 1.0}
 
 
 def test_swap_exchanges_both_table_pairs():
@@ -539,23 +575,28 @@ def test_replay_starts_its_own_edge_table(needle, monkeypatch):
     assert len(run.edges) == len(visits)
 
 
-def test_a_repeated_step_shares_its_record(needle, monkeypatch):
-    # A record is built on its edge's first visit at its index and shared by
-    # every later step at that edge and index.
+def test_a_repeated_step_shares_its_record(chesswalk, monkeypatch):
+    # A record is built on its edge's first visit and shared by every later
+    # step over that edge, at whatever position in whatever episode.
     calls = edge_spies(monkeypatch)
-    phi = parse(NEEDLE_B)
-    result = random_policy_generate(needle, phi, LearnerConfig(seed=0))
+    phi = parse("G F [activity~About]")
+    config = LearnerConfig(episodes=40, steps=6, seed=0)
+    result = random_policy_generate(chesswalk, phi, config)
     states = iter(calls["states"])
     shared = {}
+    positions = {}
     for log in result.episodes:
         before = engine._start(phi)[0]
-        for record in log.steps:
-            step = (before, record.action, next(states), record.index)
-            assert shared.setdefault(step, record) is record
+        for k, record in enumerate(log.steps):
+            edge = (before, record.action, next(states))
+            assert shared.setdefault(edge, record) is record
+            positions.setdefault(edge, set()).add(k)
             before = record.formula
     assert next(states, None) is None
+    # On chesswalk one edge recurs at different positions, and they share it.
+    assert any(len(ks) > 1 for ks in positions.values())
     built = {id(record) for log in result.episodes for record in log.steps}
-    assert len(built) == len(shared) < result.stats.steps
+    assert len(built) == len(shared) == len(calls["projection"]) < result.stats.steps
 
 
 def fork_model() -> dict:
@@ -589,18 +630,15 @@ def test_a_dead_end_charge_stays_with_its_episode():
     model = model_from_dict(fork_model())
     phi = parse("X X [actionType=click]")
     run = Run(EnvSession(model), phi, LearnerConfig(seed=0))
-    dead = [log for log in (run_episode(run, i) for i in range(1, 41)) if log.outcome == "dead_end"]
+    dead = [log for log in (run_episode(run) for _ in range(40)) if log.outcome == "dead_end"]
     assert len(dead) >= 2
     charged = [log.steps[-1] for log in dead]
     assert all(record.reward == -1.0 for record in charged)
     assert len({id(record) for record in charged}) == len(dead)
-    (stored,) = [
-        record for *_, records in run.edges.values() for record in records.values()
-        if record[:4] == charged[0][:4]
-    ]
+    (stored,) = [record for *_, record in run.edges.values() if record[:3] == charged[0][:3]]
     assert stored.reward != -1.0 and all(record is not stored for record in charged)
     # A picked run over the same edge table steps through that edge at that
-    # index without a dead end, and reads the edge's own record.
+    # position without a dead end, and reads the edge's own record.
     test = [record.action for record in dead[0].steps]
     picked = Run(EnvSession(model), phi, LearnerConfig(steps=len(test)), lambda k, _: test[k])
     picked.edges = run.edges
@@ -914,7 +952,7 @@ def test_replay_reproduces_the_generating_episode(engine, model_name, formula, r
     replayed = replay(model, result.test, phi, seed=config.seed)
 
     def records(log):
-        return [(r.index, r.action, r.labels, r.formula, r.reward) for r in log.steps]
+        return [tuple(record) for record in log.steps]
 
     assert replayed.outcome == "satisfied"
     assert records(replayed) == records(result.episodes[-1])

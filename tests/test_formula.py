@@ -164,6 +164,14 @@ def test_matchers():
     assert sub.matches("MainActivity") and not sub.matches("mainactivity")
 
 
+def test_a_substring_predicate_matches_anywhere_in_the_value():
+    # "~" is a substring match, not a prefix match.
+    sub = AtomicProposition("activity", "~", "Activity")
+    assert sub.matches("MainActivity") and sub.matches("Activity")
+    assert AtomicProposition("activity", "~", "inAct").matches("MainActivity")
+    assert not sub.matches("MainActivit")
+
+
 def test_scope_follows_key_prefix():
     assert AtomicProposition("actionType", "=", "back").is_action
     assert AtomicProposition("actionDetail", "~", "About").is_action
@@ -217,6 +225,13 @@ def test_render_canonical_forms():
     assert render(Next(Until(Atom(P), Atom(Q)))) == "X ([p=1] U [q=1])"
     assert render(And(Atom(P), And(Atom(P), Atom(Q)))) == "[p=1] & [p=1] & [q=1]"
     assert render(Until(Until(Atom(P), Atom(Q)), Atom(P))) == "([p=1] U [q=1]) U [p=1]"
+
+
+def test_render_leaves_a_right_nested_until_bare():
+    # Until associates right, so its right operand needs no parentheses.
+    phi = Until(Atom(P), Until(Atom(Q), Atom(P)))
+    assert render(phi) == "[p=1] U [q=1] U [p=1]"
+    assert render(Next(phi)) == "X ([p=1] U [q=1] U [p=1])"
 
 
 leaves = st.sampled_from([TRUE, Atom(P), Atom(Q)])

@@ -87,6 +87,18 @@ def test_validation_weights_must_sum_to_one():
         model_from_dict(data)
 
 
+@pytest.mark.parametrize("off", [1e-6, -1e-6])
+def test_validation_rejects_weights_a_millionth_off_one(off):
+    # Weights must sum to 1 within float rounding, not within a loose tolerance.
+    data = minimal_model()
+    data["states"][0]["actions"][0]["transitions"] = [
+        {"to": "b", "weight": 0.5},
+        {"to": "a", "weight": 0.5 + off},
+    ]
+    with pytest.raises(ModelError, match="transition weights sum to"):
+        model_from_dict(data)
+
+
 def test_validation_rejects_empty_states():
     data = minimal_model()
     data["states"] = []

@@ -62,6 +62,18 @@ def test_until_is_right_associative():
     assert phi == Until(Atom(P), Until(Atom(Q), MAIN))
 
 
+def test_implication_is_right_associative():
+    phi = parse("[p=1] -> [q=1] -> [activity~Main]")
+    assert phi == parse("[p=1] -> ([q=1] -> [activity~Main])")
+    assert phi != parse("([p=1] -> [q=1]) -> [activity~Main]")
+
+
+def test_conjunction_binds_tighter_than_disjunction():
+    assert parse("[p=1] | [q=1] & [activity~Main]") == parse("[p=1] | ([q=1] & [activity~Main])")
+    assert parse("[p=1] & [q=1] | [activity~Main]") == parse("([p=1] & [q=1]) | [activity~Main]")
+    assert parse("[p=1] | [q=1] & [activity~Main]") != parse("([p=1] | [q=1]) & [activity~Main]")
+
+
 def test_conjunction_is_left_associative():
     phi = parse("[p=1] & [q=1] & [activity~Main]")
     assert phi == And(And(Atom(P), Atom(Q)), MAIN)

@@ -538,10 +538,10 @@ def test_runs_equal_the_reference_run(model, phi, config, uniform):
     episodes, reference = reference_run(model, phi, config, uniform)
 
     def plain(records):
-        return [(*record[:4], repr(record[4])) for record in records]
+        return [(*record[:3], repr(record[3])) for record in records]
 
-    assert [(log.index, plain(log.steps), log.outcome) for log in result.episodes] == [
-        (index, plain(records), outcome) for index, records, outcome in episodes
+    assert [(plain(log.steps), log.outcome) for log in result.episodes] == [
+        (plain(records), outcome) for records, outcome in episodes
     ]
     (store,) = stores
     for name in ("q1", "q2"):

@@ -57,7 +57,7 @@ def same(a, b) -> bool:
     if isinstance(a, (GuiState, AppModel)):
         # Their repr shows every field.
         return repr(a) == repr(b)
-    if isinstance(a, (QStore, EpisodeLog)):
+    if isinstance(a, QStore):
         return all(same(getattr(a, name), getattr(b, name)) for name in a.__slots__)
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
@@ -159,4 +159,5 @@ def test_every_step_record_is_a_step_record(needle):
     assert len(charged) == 3 and all(record.reward == -1.0 for record in charged)
     assert {type(record) for record in records} == {StepRecord}
     record = records[0]
-    assert record == tuple(record) and repr(record).startswith("StepRecord(index=0, ")
+    assert record == tuple(record) and repr(record).startswith("StepRecord(action=GuiAction(")
+    assert all(type(log) is EpisodeLog for log in result.episodes)

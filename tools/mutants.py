@@ -62,9 +62,9 @@ MUTANTS = (
      "        while r >= n:", "        if r >= n:"),
     ("pick draws (n - 1).bit_length() bits", ENGINE,
      "bits = n.bit_length()", "bits = (n - 1).bit_length()"),
-    # An edge serves the record it built first, at whatever index.
-    ("edge record served at any index", ENGINE,
-     "record = records.get(k)", "record = next(iter(records.values()), None)"),
+    # An edge's record holds the obligation before its step, not the one after.
+    ("edge record with the obligation before the step", ENGINE,
+     "(action, labels, verdict.formula, reward)", "(action, labels, phi, reward)"),
 )
 
 
