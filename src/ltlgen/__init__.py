@@ -4,6 +4,11 @@ A formula over state and action predicates doubles as the search objective
 and the test oracle: an episode loop learns, by reinforcement, an action
 sequence whose execution trace satisfies the formula, and emits it as a
 replayable test.
+
+The package exports the library API.  The stages the engine composes each
+step (``expand``, ``restrict``, ``advance`` and ``shaped_reward``, the
+labelings and the predicate counts and sets) stay public in the modules
+that define them.
 """
 
 from .engine import (
@@ -31,8 +36,6 @@ from .formula import (
     Truth,
     Until,
     Verdict,
-    atom_set,
-    count_atoms,
     render,
     simplify,
 )
@@ -42,15 +45,13 @@ from .model import (
     EnvSession,
     GuiAction,
     ModelError,
-    action_labeling,
     load_model,
     load_test,
     model_from_dict,
     save_test,
-    state_labeling,
 )
 from .parser import ParseError, parse
-from .progression import advance, evaluate, expand, projection, restrict, shaped_reward
+from .progression import evaluate, projection
 
 __version__ = "0.1.0"
 
@@ -75,14 +76,9 @@ __all__ = [
     "Truth",
     "Until",
     "Verdict",
-    "action_labeling",
-    "advance",
     "anneal",
-    "atom_set",
-    "count_atoms",
     "decide_next_action",
     "evaluate",
-    "expand",
     "generate",
     "learn",
     "load_model",
@@ -95,9 +91,6 @@ __all__ = [
     "random_policy_generate",
     "render",
     "replay",
-    "restrict",
     "save_test",
-    "shaped_reward",
     "simplify",
-    "state_labeling",
 ]

@@ -20,15 +20,12 @@ from ltlgen import (
     QStore,
     TRUE,
     Until,
-    action_labeling,
-    advance,
-    atom_set,
-    expand,
     projection,
-    restrict,
     simplify,
-    state_labeling,
 )
+from ltlgen.formula import atom_set
+from ltlgen.model import action_labeling, state_labeling
+from ltlgen.progression import advance, expand, restrict
 
 P = AtomicProposition("p", "=", "1")
 Q = AtomicProposition("q", "=", "1")
@@ -175,7 +172,8 @@ def satisfaction_probability(model, phi: Formula, steps: int) -> Fraction:
 
 
 class FixedRoll:
-    """random()-compatible stub returning a constant; keeps swap coin flips predictable."""
+    """random()-compatible stub returning a constant: puts a swap, policy or
+    session draw where a test wants it, on a bound too."""
 
     def __init__(self, value: float):
         self.value = value

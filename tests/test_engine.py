@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import inspect
+import itertools
 import math
 import pickle
 import random
@@ -20,7 +21,6 @@ from ltlgen import (
     QStore,
     TRUE,
     anneal,
-    atom_set,
     decide_next_action,
     generate,
     learn,
@@ -43,6 +43,7 @@ from ltlgen.engine import (
     StepRecord,
     run_episode,
 )
+from ltlgen.formula import atom_set
 from conftest import GO_ABOUT_AND_BACK, NEEDLE_A, NEEDLE_B, NEEDLE_C
 from helpers import FixedRoll, lab
 
@@ -140,6 +141,26 @@ def test_decide_is_seed_deterministic():
     first = [decide_next_action(store, candidates, 1.0, 0.2, random.Random(42)) for _ in range(5)]
     second = [decide_next_action(store, candidates, 1.0, 0.2, random.Random(42)) for _ in range(5)]
     assert first == second
+
+
+def test_a_roll_on_a_partial_sum_picks_the_next_candidate():
+    # A candidate takes the rolls below its partial sum, not the sum itself.
+    store = QStore()
+    candidates = [decision_for(BACK), decision_for(CLICK)]
+    assert policy_probabilities(store, candidates, 1.0, 0.2) == [0.5, 0.5]
+    assert decide_next_action(store, candidates, 1.0, 0.2, FixedRoll(0.5)) is candidates[1]
+
+
+def test_a_roll_above_the_rounded_sum_picks_the_last_candidate():
+    # Ten 0.1s add up to 1 - 2**-53, the largest roll random() returns, so
+    # that roll passes every partial sum and the last candidate takes it.
+    store = QStore()
+    candidates = [decision_for(GuiAction("click", (str(i), str(i)))) for i in range(10)]
+    probabilities = policy_probabilities(store, candidates, 1.0, 1.0)
+    assert probabilities == [0.1] * 10
+    roll = 1.0 - 2.0**-53
+    assert list(itertools.accumulate(probabilities))[-1] == roll
+    assert decide_next_action(store, candidates, 1.0, 1.0, FixedRoll(roll)) is candidates[-1]
 
 
 # --- step records and screening results ---
@@ -346,6 +367,16 @@ def test_swap_exchanges_both_table_pairs():
     # with doubleness=1 the q2 side stays 0; the swap moved the learned value there
     assert store.q2[d] == 1.0
     assert store.q1[d] == 0.0
+
+
+def test_a_swap_roll_of_one_half_keeps_both_table_pairs():
+    # The tables swap on rolls below 0.5, so a roll of exactly 0.5 keeps them.
+    store = QStore()
+    config = dataclasses.replace(LearnerConfig(), doubleness=1.0, vigilance=10.0)
+    d = decision_for(BACK)
+    learn(store, d, 1.0, config, eta=1.0, rng=FixedRoll(0.5), action_labels=frozenset())
+    assert (store.q1[d], store.q2[d]) == (1.0, 0.0)
+    assert (store.qa1[frozenset()], store.qa2[frozenset()]) == (1.0, 0.0)
 
 
 # --- pruning / prediction ---

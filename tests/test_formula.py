@@ -19,14 +19,12 @@ from ltlgen import (
     Truth,
     Until,
     Verdict,
-    atom_set,
-    count_atoms,
     parse,
     render,
     simplify,
 )
 from ltlgen import cli
-from ltlgen.formula import _ACTION_KEYS
+from ltlgen.formula import _ACTION_KEYS, atom_set, count_atoms
 from ltlgen.progression import evaluate, projection
 from helpers import P, Q, has_redex, lab, random_formula
 
@@ -67,6 +65,12 @@ def test_a_conjunct_holds_inside_the_others():
     # disjunction adds nothing.
     nested = parse("[q=1] | ([p=1] & ([q=1] | ([p=1] & X [q=1])))")
     assert simplify(nested) == simplify(parse("[q=1] | ([p=1] & X [q=1])"))
+
+
+@pytest.mark.parametrize("operands", [(), (Atom(P),)])
+def test_a_conjunction_needs_two_conjuncts(operands):
+    with pytest.raises(ValueError, match="at least two conjuncts"):
+        And(*operands)
 
 
 def test_true_conjuncts_are_dropped_on_both_sides():
@@ -225,6 +229,11 @@ def test_render_canonical_forms():
     assert render(Next(Until(Atom(P), Atom(Q)))) == "X ([p=1] U [q=1])"
     assert render(And(Atom(P), And(Atom(P), Atom(Q)))) == "[p=1] & [p=1] & [q=1]"
     assert render(Until(Until(Atom(P), Atom(Q)), Atom(P))) == "([p=1] U [q=1]) U [p=1]"
+
+
+def test_render_rejects_what_is_not_a_formula():
+    with pytest.raises(TypeError, match="not a formula"):
+        render(P)
 
 
 def test_render_leaves_a_right_nested_until_bare():

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 import random
@@ -12,17 +13,15 @@ from ltlgen import (
     EnvSession,
     GuiAction,
     ModelError,
-    action_labeling,
     load_model,
     load_test,
     model_from_dict,
     save_test,
-    state_labeling,
 )
 from ltlgen.formula import _ACTION_KEYS
-from ltlgen.model import AppModel, GuiState
+from ltlgen.model import AppModel, GuiState, action_labeling, state_labeling
 from conftest import MODELS
-from helpers import lab
+from helpers import FixedRoll, lab
 
 ACTIVITY_MAIN = AtomicProposition("activity", "~", "Main")
 ACTIVITY_ABOUT = AtomicProposition("activity", "~", "About")
@@ -452,6 +451,41 @@ def test_a_session_draws_as_a_generator_seeded_when_it_is_built(flaky):
                 if roll < acc:
                     break
             assert session.execute(spin) is expected
+
+
+def session_at_a_fork(weights, roll):
+    """A session in state ``a`` whose every draw is ``roll``, its click, and
+    the click's successors, one per weight."""
+    data = minimal_model()
+    targets = [f"t{i}" for i in range(len(weights))]
+    data["states"][0]["actions"][0]["transitions"] = [
+        {"to": target, "weight": weight} for target, weight in zip(targets, weights)
+    ]
+    data["states"] += [
+        {"id": target, "attributes": {"activity": "OtherActivity", "package": "demo"}, "widgets": [],
+         "actions": [{"type": "back", "transitions": [{"to": "a"}]}]}
+        for target in targets
+    ]
+    session = EnvSession(model_from_dict(data))
+    session.execute(GuiAction("reinitialize", ("MainActivity",)))
+    click = next(a for a in session.enabled_actions() if a.action_type == "click")
+    session._rng = FixedRoll(roll)
+    return session, click, session.model.transitions[(session.current, click)]
+
+
+def test_a_roll_on_a_partial_weight_sum_goes_to_the_next_successor():
+    # A successor takes the rolls below its partial sum, not the sum itself.
+    session, click, distribution = session_at_a_fork((0.5, 0.5), 0.5)
+    assert session.execute(click) is distribution[1][0]
+
+
+def test_a_roll_above_the_rounded_weight_sum_goes_to_the_last_successor():
+    # Ten 0.1 weights add up to 1 - 2**-53, the largest roll random()
+    # returns, so that roll passes every partial sum.
+    roll = 1.0 - 2.0**-53
+    session, click, distribution = session_at_a_fork((0.1,) * 10, roll)
+    assert list(itertools.accumulate(weight for _, weight in distribution))[-1] == roll
+    assert session.execute(click) is distribution[-1][0]
 
 
 def test_an_action_of_an_enabled_signature_with_another_detail_is_not_enabled(chesswalk):

@@ -13,18 +13,15 @@ from ltlgen import (
     TRUE,
     Until,
     Verdict,
-    action_labeling,
-    advance,
     evaluate,
-    expand,
     parse,
     projection,
     prune_and_predict,
-    restrict,
-    shaped_reward,
     simplify,
 )
 from ltlgen import engine
+from ltlgen.model import action_labeling
+from ltlgen.progression import advance, expand, restrict, shaped_reward
 from helpers import P, Q, enumerate_formulas, lab, random_formula
 
 # The worked example's objective: first reach a Q-position via P-positions,

@@ -20,11 +20,7 @@ from ltlgen import (
     TRUE,
     Until,
     Verdict,
-    action_labeling,
-    advance,
-    atom_set,
     decide_next_action,
-    expand,
     generate,
     learn,
     model_from_dict,
@@ -32,13 +28,12 @@ from ltlgen import (
     policy_probabilities,
     random_policy_generate,
     replay,
-    restrict,
-    shaped_reward,
     simplify,
-    state_labeling,
 )
 from ltlgen.engine import ENGINES, Run, run_episode
-from ltlgen.progression import evaluate
+from ltlgen.formula import atom_set
+from ltlgen.model import action_labeling, state_labeling
+from ltlgen.progression import advance, evaluate, expand, restrict, shaped_reward
 from conftest import GO_ABOUT_AND_BACK, NEEDLE_A, NEEDLE_B, NEEDLE_C
 from helpers import (
     reference_decide_next_action,
