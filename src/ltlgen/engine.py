@@ -60,10 +60,13 @@ Python-level ``__new__``.  A learner step reads its whole
 resolved flags from when it was built.  The learner's step builds no dict
 either, and no decision except the one for an action that satisfies the
 obligation outright: it reads them from the prediction.  Its only lists
-are the policy's, for a choice among two or more candidates; a lone
+are the softmax's scores and weights, for a choice among two or more
+candidates: the pick walks the weights once, adding up the probabilities
+``policy_probabilities`` returns without building their list.  A lone
 candidate is taken without the softmax, at the cost of the one random draw
-every choice makes.  ``learn`` clamps each update to the vigilance bound
-with comparisons, not ``min``/``max`` calls.
+every choice makes.  ``learn`` clamps each update to the vigilance bound,
+and ``anneal`` cuts each schedule value to its floor, with comparisons,
+not ``min``/``max`` calls.
 
 ``run_episode`` is the only loop that executes actions.  The learner, the
 uniform baseline and replay differ only in their run's pick: a run with a
@@ -262,17 +265,27 @@ class GenerationResult(NamedTuple):
         return self.test is not None
 
 
-def policy_probabilities(
-    store: QStore, candidates: Collection[Decision], temperature: float, epsilon: float
-) -> list[float]:
-    """Softmax over summed Q-values mixed with an epsilon-uniform floor."""
+def _softmax(
+    store: QStore, candidates: Collection[Decision], temperature: float
+) -> tuple[list[float], float]:
+    """The softmax weights of the candidates' summed Q-values, in candidate
+    order, and their sum: the one copy of the softmax."""
     q1, q2, exp = store.q1.get, store.q2.get, math.exp
     scale = 2.0 * temperature
     scores = [(q1(d, 0.0) + q2(d, 0.0)) / scale for d in candidates]
     peak = max(scores)
     weights = [exp(s - peak) for s in scores]
     # Keep the builtin sum: from CPython 3.12 it compensates, and outputs depend on its bytes.
-    total = sum(weights)
+    return weights, sum(weights)
+
+
+def policy_probabilities(
+    store: QStore, candidates: Collection[Decision], temperature: float, epsilon: float
+) -> list[float]:
+    """Softmax over summed Q-values mixed with an epsilon-uniform floor:
+    each candidate's probability is ``keep * w / total + floor``, the float
+    ``decide_next_action`` adds to its running sum."""
+    weights, total = _softmax(store, candidates, temperature)
     keep = 1.0 - epsilon
     floor = epsilon * (1.0 / len(candidates))
     return [keep * w / total + floor for w in weights]
@@ -288,7 +301,11 @@ def decide_next_action(
     """Sample one decision according to the policy distribution.
 
     Every call draws once from ``rng``.  A lone candidate is certain, so it
-    is taken without the softmax.
+    is taken without the softmax.  Otherwise one pass over the softmax
+    weights adds up, in candidate order, the probabilities
+    ``policy_probabilities`` returns, float for float, without building
+    their list; the first candidate whose running sum exceeds the roll is
+    taken.
     """
     if not candidates:
         raise ValueError("no candidate decisions to choose from")
@@ -296,11 +313,13 @@ def decide_next_action(
         rng.random()
         (decision,) = candidates
         return decision
-    probabilities = policy_probabilities(store, candidates, temperature, epsilon)
+    weights, total = _softmax(store, candidates, temperature)
+    keep = 1.0 - epsilon
+    floor = epsilon * (1.0 / len(candidates))
     roll = rng.random()
     acc = 0.0
-    for decision, probability in zip(candidates, probabilities):
-        acc += probability
+    for decision, w in zip(candidates, weights):
+        acc += keep * w / total + floor
         if roll < acc:
             return decision
     # Rounding left the roll above the last sum: the last candidate takes it.
@@ -460,11 +479,19 @@ def learn(
 def anneal(
     temperature: float, epsilon: float, eta: float, config: LearnerConfig
 ) -> tuple[float, float, float]:
-    """Post-episode schedule step; each value decays onto its floor."""
+    """Post-episode schedule step; each value decays onto its floor.
+
+    Comparisons, not ``max`` calls: ``floor if floor > x else x`` is the
+    float ``max(x, floor)`` returns, NaN too, and ``validate`` keeps every
+    floor finite and positive."""
+    temperature = temperature - config.t_delta
+    epsilon = config.eps_update * epsilon
+    eta = config.eta_update * eta
+    t_min, eps_min, eta_min = config.t_min, config.eps_min, config.eta_min
     return (
-        max(temperature - config.t_delta, config.t_min),
-        max(config.eps_update * epsilon, config.eps_min),
-        max(config.eta_update * eta, config.eta_min),
+        t_min if t_min > temperature else temperature,
+        eps_min if eps_min > epsilon else epsilon,
+        eta_min if eta_min > eta else eta,
     )
 
 
@@ -573,10 +600,7 @@ def run_episode(run: Run) -> EpisodeLog:
             edge = edges[key] = (action_labels, verdict, record)
         action_labels, verdict, record = edge
         if pick is None:
-            learn(
-                store, decision, record.reward, config, run.eta, run.swap_rng,
-                action_labels=action_labels,
-            )
+            learn(store, decision, record.reward, config, run.eta, run.swap_rng, action_labels)
             previous = decision
             if config.tail_length > 0:
                 tail = (tail + ((action.signature, state.id),))[-config.tail_length:]

@@ -163,6 +163,46 @@ def test_a_roll_above_the_rounded_sum_picks_the_last_candidate():
     assert decide_next_action(store, candidates, 1.0, 1.0, FixedRoll(roll)) is candidates[-1]
 
 
+def _walk(candidates, probabilities, roll):
+    """The first candidate whose running sum of ``probabilities`` exceeds
+    ``roll``, else the last: the pick the published distribution makes."""
+    for decision, acc in zip(candidates, itertools.accumulate(probabilities)):
+        if roll < acc:
+            return decision
+    return candidates[-1]
+
+
+def test_the_pick_walks_the_published_distribution():
+    # Seeded stores with Q-values of every kind a run reaches: unset, 0, the
+    # vigilance bounds and values between; scores low enough that a softmax
+    # weight underflows to 0 are among them.
+    pool = [Decision((), GuiAction("click", (str(i), str(i))).signature) for i in range(12)]
+    for case in range(300):
+        gen = random.Random(case)
+        bound = gen.choice((0.05, 1.0, 5.0))
+        store = QStore()
+        for table in (store.q1, store.q2):
+            for decision in gen.sample(pool, gen.randint(0, len(pool))):
+                table[decision] = gen.choice((0.0, bound, -bound, gen.uniform(-bound, bound)))
+        candidates = gen.sample(pool, gen.randint(2, 11))
+        temperature = gen.choice((0.01, 10.0, gen.uniform(0.01, 10.0)))
+        epsilon = gen.choice((0.0, 1.0, gen.random()))
+        probabilities = policy_probabilities(store, candidates, temperature, epsilon)
+        seed = gen.getrandbits(32)
+        stream = random.Random(seed)
+        expected = _walk(candidates, probabilities, stream.random())
+        for collection in (candidates, dict.fromkeys(candidates).keys()):
+            rng = random.Random(seed)
+            assert decide_next_action(store, collection, temperature, epsilon, rng) is expected
+            # Exactly one draw.
+            assert rng.getstate() == stream.getstate()
+        # A roll on a partial sum goes to a later candidate: the next one
+        # with a larger sum, or the last if none has one.
+        for roll in itertools.accumulate(probabilities):
+            chosen = decide_next_action(store, candidates, temperature, epsilon, FixedRoll(roll))
+            assert chosen is _walk(candidates, probabilities, roll)
+
+
 # --- step records and screening results ---
 
 def test_record_types_keep_their_fields_and_defaults():
@@ -956,6 +996,50 @@ def test_anneal_moves_toward_the_floors():
         t, eps, eta = nt, neps, neta
     assert t == config.t_min
     assert abs(eps - max(config.eps0 * config.eps_update**200, config.eps_min)) <= 1e-12
+
+
+def _anneal_by_max(temperature, epsilon, eta, config):
+    """The schedule step written with ``max``, the reference ``anneal`` must equal."""
+    return (
+        max(temperature - config.t_delta, config.t_min),
+        max(config.eps_update * epsilon, config.eps_min),
+        max(config.eta_update * eta, config.eta_min),
+    )
+
+
+def test_anneal_equals_the_max_form_bit_for_bit():
+    # A schedule that lands exactly on each floor, one that starts on them,
+    # then seeded random ones.
+    configs = [
+        LearnerConfig(t0=1.0, t_delta=0.5, t_min=0.5, eps0=0.5, eps_update=0.5, eps_min=0.25,
+                      eta0=1.0, eta_update=0.5, eta_min=0.25),
+        LearnerConfig(t0=0.5, t_delta=0.5, t_min=0.5, eps0=0.01, eps_update=1.0, eps_min=0.01,
+                      eta0=0.1, eta_update=1.0, eta_min=0.1),
+    ]
+    gen = random.Random(33)
+    for _ in range(200):
+        t_min, eps_min = gen.uniform(0.01, 2.0), gen.uniform(1e-4, 0.5)
+        eta_min = gen.uniform(1e-3, 1.0)
+        configs.append(LearnerConfig(
+            t0=t_min + gen.choice((0.0, gen.uniform(0.0, 10.0))),
+            t_delta=gen.choice((t_min, gen.uniform(1e-3, 1.0))),
+            t_min=t_min,
+            eps0=gen.uniform(eps_min, 1.0),
+            eps_update=gen.choice((0.5, 1.0, gen.uniform(0.5, 1.0))),
+            eps_min=eps_min,
+            eta0=eta_min + gen.uniform(0.0, 2.0),
+            eta_update=gen.choice((0.5, 1.0, gen.uniform(0.5, 1.0))),
+            eta_min=eta_min,
+        ))
+    for config in configs:
+        config.validate()
+        schedule = (config.t0, config.eps0, config.eta0)
+        for _ in range(60):
+            expected = _anneal_by_max(*schedule, config)
+            schedule = anneal(*schedule, config)
+            assert [value.hex() for value in schedule] == [value.hex() for value in expected]
+    # The first schedule's step from (1.0, 0.5, 0.5) lands on every floor exactly.
+    assert anneal(1.0, 0.5, 0.5, configs[0]) == (0.5, 0.25, 0.25)
 
 
 # --- replay ---

@@ -58,8 +58,13 @@ MUTANTS = (
     ("no annealing", ENGINE,
      "run.temperature, run.epsilon, run.eta = anneal(", "anneal(", (REFERENCE,)),
     ("doubled eps floor", ENGINE,
-     "max(config.eps_update * epsilon, config.eps_min)",
-     "max(config.eps_update * epsilon, 2 * config.eps_min)", (REFERENCE,)),
+     "eps_min if eps_min > epsilon else epsilon",
+     "2 * eps_min if 2 * eps_min > epsilon else epsilon", (REFERENCE,)),
+    # The temperature passes its floor: only a step that stays above it is cut to it.
+    ("anneal's temperature comparison reversed", ENGINE,
+     "t_min if t_min > temperature else temperature",
+     "t_min if t_min < temperature else temperature",
+     ("tests/test_engine.py::test_anneal_moves_toward_the_floors",)),
     ("shaped reward's sign flipped", PROGRESSION,
      "    return abs(n_after - n_before) / total", "    return -abs(n_after - n_before) / total",
      (REFERENCE,)),
@@ -107,6 +112,10 @@ MUTANTS = (
     ("policy roll on a partial sum taken", ENGINE,
      "        if roll < acc:", "        if roll <= acc:",
      ("tests/test_engine.py::test_a_roll_on_a_partial_sum_picks_the_next_candidate",)),
+    # The pick's running sum loses the epsilon-uniform floor of each probability.
+    ("policy walk without the floor", ENGINE,
+     "acc += keep * w / total + floor", "acc += keep * w / total",
+     ("tests/test_engine.py::test_the_pick_walks_the_published_distribution",)),
     ("policy rounding fallback to the first candidate", ENGINE,
      "    # Rounding left the roll above the last sum: the last candidate takes it.\n"
      "    return decision",
