@@ -64,9 +64,14 @@ are the softmax's scores and weights, for a choice among two or more
 candidates: the pick walks the weights once, adding up the probabilities
 ``policy_probabilities`` returns without building their list.  A lone
 candidate is taken without the softmax, at the cost of the one random draw
-every choice makes.  ``learn`` clamps each update to the vigilance bound,
-and ``anneal`` cuts each schedule value to its floor, with comparisons,
-not ``min``/``max`` calls.
+every choice makes.  ``learn`` does a decision's bookkeeping once per
+run, on its first update: it stores the decision's labeling, hashes its
+tail against the tails seen, seeds its value and gives it and its labeling
+their table entries.  Every later update of the decision goes straight to
+the sweep, which reads those entries by subscript, walks the trace in
+place and computes ``eta * delta`` once.  ``learn`` clamps each update to
+the vigilance bound, and ``anneal`` cuts each schedule value to its floor,
+with comparisons, not ``min``/``max`` calls.
 
 ``run_episode`` is the only loop that executes actions.  The learner, the
 uniform baseline and replay differ only in their run's pick: a run with a
@@ -208,7 +213,14 @@ _KNOBS = tuple(knob.name for knob in fields(LearnerConfig))
 
 
 class QStore:
-    """Tabular double-Q state plus the stateless action-label side tables."""
+    """Tabular double-Q state plus the stateless action-label side tables.
+
+    ``learn`` is the one writer of ``action_labels``.  The call that adds a
+    decision there also adds its tail to ``seen_tails`` and gives the
+    decision an entry in ``q1`` and ``q2`` and its labeling one in ``qa1``
+    and ``qa2``, so every later call finds them and reads them by
+    subscript; a table swap exchanges tables that hold the same keys.
+    """
 
     __slots__ = ("q1", "q2", "qa1", "qa2", "elig", "seen_tails", "action_labels")
 
@@ -306,16 +318,21 @@ def decide_next_action(
     ``policy_probabilities`` returns, float for float, without building
     their list; the first candidate whose running sum exceeds the roll is
     taken.
+
+    The candidates are any sized collection of decisions, iterated in
+    order; a learner step passes its prediction's map from decision to
+    action, whose iteration yields the decisions.
     """
-    if not candidates:
+    n = len(candidates)
+    if not n:
         raise ValueError("no candidate decisions to choose from")
-    if len(candidates) == 1:
+    if n == 1:
         rng.random()
         (decision,) = candidates
         return decision
     weights, total = _softmax(store, candidates, temperature)
     keep = 1.0 - epsilon
-    floor = epsilon * (1.0 / len(candidates))
+    floor = epsilon * (1.0 / n)
     roll = rng.random()
     acc = 0.0
     for decision, w in zip(candidates, weights):
@@ -370,7 +387,8 @@ def _predict(
     decision to its action, in action order.  Actions of one signature
     make one decision, which maps to the last of them.  Every caller
     shares the map, so it is reached only through the view's read-only
-    ``.mapping``."""
+    ``.mapping``, which the learner's step passes to ``decide_next_action``
+    as the candidates and reads the chosen action from."""
     survivors = enabled
     if screen:
         expanded = expand(phi)
@@ -436,16 +454,29 @@ def learn(
     the state it was made in, so it names one action; with
     ``--tail-length 0`` a decision still stands for every action of its
     signature, and they share the first one's labeling.
+
+    Only a decision's first update, the call that stores its labeling,
+    checks its tail, seeds its value and gives it and its labeling their
+    entries, ``0.0`` where the sweep would have inserted them; a later call
+    for it does none of this.  The sweep then reads every entry by
+    subscript and walks the trace in place, deleting the entries that
+    decayed below ``elig_min`` once it is done.
     """
     labels_of = store.action_labels
-    if action_labels is None:
-        action_labels = labels_of.get(decision, frozenset())
-    labels_of.setdefault(decision, action_labels)
     q1, q2, qa1, qa2, elig = store.q1, store.q2, store.qa1, store.qa2, store.elig
-    if decision.tail not in store.seen_tails:
-        store.seen_tails.add(decision.tail)
-        q1[decision] = qa1.get(action_labels, 0.0)
-    delta = reward - q1.get(decision, 0.0)
+    if decision not in labels_of:
+        if action_labels is None:
+            action_labels = frozenset()
+        labels_of[decision] = action_labels
+        if decision.tail not in store.seen_tails:
+            store.seen_tails.add(decision.tail)
+            q1[decision] = qa1.get(action_labels, 0.0)
+        # The keys the sweep would insert, at the end of each table as it would.
+        q1.setdefault(decision, 0.0)
+        q2.setdefault(decision, 0.0)
+        qa1.setdefault(action_labels, 0.0)
+        qa2.setdefault(action_labels, 0.0)
+    delta = reward - q1[decision]
     elig[decision] = elig.get(decision, 0.0) + 1.0
     bound = config.vigilance
     low = -bound
@@ -453,23 +484,29 @@ def learn(
     keep = 1.0 - mix
     decay = config.elig_decay
     elig_min = config.elig_min
-    for eligible, trace_value in list(elig.items()):
+    # eta * delta * trace_value multiplies eta * delta first, so this is the same float.
+    eta_delta = eta * delta
+    faded = []
+    for eligible, trace_value in elig.items():
         labels = labels_of[eligible]
-        step = eta * delta * trace_value
+        step = eta_delta * trace_value
         # Cheaper than min/max calls, and the same float for every value, NaN too, as low < bound.
-        value = qa1.get(labels, 0.0) + step
+        value = qa1[labels] + step
         value_a1 = low if value < low else bound if value > bound else value
         qa1[labels] = value_a1
-        value = q1.get(eligible, 0.0) + step
+        value = q1[eligible] + step
         value_1 = low if value < low else bound if value > bound else value
         q1[eligible] = value_1
-        qa2[labels] = keep * value_a1 + mix * qa2.get(labels, 0.0)
-        q2[eligible] = keep * value_1 + mix * q2.get(eligible, 0.0)
+        qa2[labels] = keep * value_a1 + mix * qa2[labels]
+        q2[eligible] = keep * value_1 + mix * q2[eligible]
         decayed = decay * trace_value
         if decayed >= elig_min:
+            # A new value for a present key: the walk goes on.
             elig[eligible] = decayed
         else:
-            del elig[eligible]
+            faded.append(eligible)
+    for eligible in faded:
+        del elig[eligible]
     if rng.random() < 0.5:
         store.q1, store.q2 = q2, q1
         store.qa1, store.qa2 = qa2, qa1
@@ -586,7 +623,7 @@ def run_episode(run: Run) -> EpisodeLog:
             else:
                 by_decision = prediction.survivors.mapping
                 decision = decide_next_action(
-                    store, by_decision.keys(), run.temperature, run.epsilon, run.policy_rng
+                    store, by_decision, run.temperature, run.epsilon, run.policy_rng
                 )
                 action = by_decision[decision]
         state = session.execute(action)

@@ -9,6 +9,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltlgen import (
     Atom,
@@ -417,6 +418,54 @@ def test_a_swap_roll_of_one_half_keeps_both_table_pairs():
     learn(store, d, 1.0, config, eta=1.0, rng=FixedRoll(0.5), action_labels=frozenset())
     assert (store.q1[d], store.q2[d]) == (1.0, 0.0)
     assert (store.qa1[frozenset()], store.qa2[frozenset()]) == (1.0, 0.0)
+
+
+def test_a_dead_end_charge_updates_the_stored_labeling():
+    # A dead-end charge passes no labels: it learns under the labeling the
+    # decision's first update stored, and the empty labeling stays unknown.
+    store = QStore()
+    config = dataclasses.replace(LearnerConfig(), vigilance=10.0, doubleness=0.5)
+    labels = lab(TYPE_PAUSE)
+    d = decision_for(PAUSE)
+    learn(store, d, 0.5, config, eta=1.0, rng=FixedRoll(0.9), action_labels=labels)
+    assert (store.qa1[labels], store.qa2[labels]) == (0.5, 0.25)
+    delta = learn(store, d, -1.0, config, eta=1.0, rng=FixedRoll(0.9))
+    assert delta == -1.5
+    assert store.action_labels == {d: labels}
+    value = 0.5 + -1.5 * (0.9 + 1.0)
+    assert (store.qa1[labels], store.qa2[labels]) == (value, 0.5 * value + 0.5 * 0.25)
+    assert frozenset() not in store.qa1 and frozenset() not in store.qa2
+
+
+LEARN_DECISIONS = [
+    Decision(tail, action.signature)
+    for tail in ((), ((BACK.signature, "s0"),), ((CLICK.signature, "s1"),))
+    for action in (BACK, CLICK, PAUSE)
+]
+learn_calls = st.tuples(
+    st.sampled_from(LEARN_DECISIONS),
+    st.floats(-2.0, 2.0),
+    st.none() | st.frozensets(st.sampled_from((TYPE_PAUSE, ACTIVITY_MAIN)), max_size=2),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(learn_calls, min_size=1, max_size=30))
+def test_every_labeled_decision_has_its_table_entries(calls):
+    # learn's sweep reads these entries by subscript; a new episode clears the trace.
+    store = QStore()
+    config = dataclasses.replace(LearnerConfig(), elig_decay=0.5, elig_min=0.2)
+    for decision, reward, action_labels, seed, new_episode in calls:
+        if new_episode:
+            store.elig.clear()
+        learn(store, decision, reward, config, 0.5, random.Random(seed), action_labels)
+        for labeled, labeling in store.action_labels.items():
+            assert labeled in store.q1 and labeled in store.q2
+            assert labeling in store.qa1 and labeling in store.qa2
+            assert labeled.tail in store.seen_tails
+        assert store.elig.keys() <= store.action_labels.keys()
 
 
 # --- pruning / prediction ---

@@ -52,7 +52,15 @@ MUTANTS = (
     ("tail slice [:L] for [-L:]", ENGINE,
      "[-config.tail_length:]", "[:config.tail_length]", (REFERENCE,)),
     ("no seeding of a new tail's value", ENGINE,
-     "        q1[decision] = qa1.get(action_labels, 0.0)", "        pass", (REFERENCE,)),
+     "            q1[decision] = qa1.get(action_labels, 0.0)", "            pass", (REFERENCE,)),
+    # A repeat update redoes the first one's bookkeeping: a dead-end charge,
+    # which passes no labels, then stores the empty labeling over the decision's.
+    ("a learned decision takes the first-update branch", ENGINE,
+     "if decision not in labels_of:", "if True:",
+     ("tests/test_engine.py::test_a_dead_end_charge_updates_the_stored_labeling",)),
+    ("no zero entry for a first update's decision in q2", ENGINE,
+     "        q2.setdefault(decision, 0.0)\n", "",
+     ("tests/test_engine.py::test_every_labeled_decision_has_its_table_entries",)),
     ("reversed candidate order", ENGINE,
      "for a in survivors}", "for a in reversed(survivors)}", (REFERENCE,)),
     ("no annealing", ENGINE,
