@@ -36,7 +36,6 @@ from .formula import (
     Truth,
     Until,
     Verdict,
-    render,
     simplify,
 )
 from .model import (
@@ -50,7 +49,7 @@ from .model import (
     model_from_dict,
     save_test,
 )
-from .parser import ParseError, parse
+from .parser import ParseError, parse, render
 from .progression import evaluate, projection
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .engine import ENGINES, EpisodeLog, GenerationResult, LearnerConfig, RunStats, replay
-from .formula import AtomicProposition, Formula, atom_set, render
+from .formula import AtomicProposition, Formula, atom_set
 from .model import (
     ActionNotEnabled,
     AppModel,
@@ -24,7 +24,7 @@ from .model import (
     load_test,
     save_test,
 )
-from .parser import ParseError, parse
+from .parser import ParseError, parse, render
 
 EXIT_OK = 0
 EXIT_USAGE = 2

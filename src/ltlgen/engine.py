@@ -19,17 +19,19 @@ the dead end.
 
 Once its action has executed, a step reads one table, the run's edge
 table: a plain dict from (obligation, action, resulting state) to the
-step's action labels, its verdict and its ``StepRecord``, the transitions
-of the formula's reward machine (see ``progression``) as the run meets
-them.  Within a run the alphabet and the shaping flag are fixed, so
-neither is part of the key.  A run's first visit to an edge computes it
-from the tables below, so every run still calls ``projection`` once per
+step's action labels and its ``StepRecord``, the transitions of the
+formula's reward machine (see ``progression``) as the run meets them.
+Within a run the alphabet and the shaping flag are fixed, so neither is
+part of the key.  A run's first visit to an edge computes it from the
+tables below (``_edge``), so every run still calls ``projection`` once per
 edge it meets, and the table is freed with the run.  A record is the
 edge's action, labels, resulting obligation and reward, and nothing else:
-a step's position is its place in its episode's list, and an episode's
-its place in the run's, so every step that repeats an edge appends the
-edge's one immutable record.  The dead end's charge replaces the
-episode's last record with a copy of its own, which no entry keeps.
+the step reads its next obligation from the record, and the episode's
+outcome from whether that is ``TRUE`` or ``FALSE``.  A step's position is
+its place in its episode's list, and an episode's its place in the run's,
+so every step that repeats an edge appends the edge's one immutable
+record.  The dead end's charge replaces the episode's last record with a
+copy of its own, which no entry keeps.
 
 The edge table lives in the run object, ``Run``, with the rest of what a
 run's episodes share: the session, the formula they start from, the
@@ -56,8 +58,7 @@ edge's first visit.  Records, and each episode's ``EpisodeLog``, are built
 with ``tuple.__new__(cls, values)``: a named tuple is the tuple of its
 values, so this builds what calling the class builds, without the class's
 Python-level ``__new__``.  A learner step reads its whole
-``Prediction`` from the cache in one lookup, and a verdict carries its
-resolved flags from when it was built.  The learner's step builds no dict
+``Prediction`` from the cache in one lookup.  The learner's step builds no dict
 either, and no decision except the one for an action that satisfies the
 obligation outright: it reads them from the prediction.  Its only lists
 are the softmax's scores and weights, for a choice among two or more
@@ -79,8 +80,10 @@ pick screens nothing, learns nothing and keeps no tail, which only the
 learner reads.  The baseline's pick, which ``_uniform`` returns, is one
 Python frame bound to its stream's ``getrandbits``: it draws what
 ``random.Random.choice`` draws, by the same algorithm, without the two
-frames of the library's.  A baseline run builds no swap stream, though its
-seed is still drawn, so the session's seed stays the third draw.
+frames of the library's.  ``_streams`` draws a run's streams from its
+master seed, in one order: the policy's stream, the swap stream's seed and
+the session's seed.  A baseline run builds no swap stream, though its seed
+is still drawn, so the session's seed stays the third draw.
 
 The classes follow the package's one idiom (``formula.Interned``):
 decisions are interned values; step records, episode logs, predictions,
@@ -100,16 +103,7 @@ from collections.abc import Callable, Collection, ItemsView, Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .formula import (
-    FALSE,
-    Formula,
-    Interned,
-    TRUE,
-    Verdict,
-    atom_set,
-    intern,
-    simplify,
-)
+from .formula import FALSE, Formula, Interned, TRUE, atom_set, intern, simplify
 from .model import (
     ActionNotEnabled,
     ActionSig,
@@ -244,7 +238,7 @@ class StepRecord(NamedTuple):
 
 
 # A run's edge table; see the module docstring.
-Edges = dict[tuple[Formula, GuiAction, GuiState], tuple[frozenset, Verdict, StepRecord]]
+Edges = dict[tuple[Formula, GuiAction, GuiState], tuple[frozenset, StepRecord]]
 
 
 class EpisodeLog(NamedTuple):
@@ -532,6 +526,14 @@ def anneal(
     )
 
 
+def _streams(seed: int) -> tuple[random.Random, int, int]:
+    """A run's random streams, drawn from its master ``seed`` in this order:
+    the policy's stream, the swap stream's seed and the session's seed.  The
+    one place a run's master seed seeds a ``random.Random``."""
+    master = random.Random(seed)
+    return random.Random(master.getrandbits(64)), master.getrandbits(64), master.getrandbits(64)
+
+
 class Run:
     """What one run's episodes share: the session, the formula they start
     from, the learner's tables and config, the way steps are picked, the
@@ -541,9 +543,9 @@ class Run:
     The run starts from the normal form of the input formula ``phi0``, as
     every run of that input does, and builds its own store and edge table.
     Without ``pick`` the learner chooses, and without streams both are
-    drawn from ``config.seed`` as ``_drive`` draws them; a run with a pick
-    learns nothing, so it needs no swap stream.  The schedule starts at
-    ``config``'s initial temperature, epsilon and eta.
+    drawn from ``config.seed`` by ``_streams``, as ``_drive`` draws them; a
+    run with a pick learns nothing, so it needs no swap stream.  The
+    schedule starts at ``config``'s initial temperature, epsilon and eta.
     """
 
     __slots__ = (
@@ -561,9 +563,8 @@ class Run:
         swap_rng: random.Random | None = None,
     ) -> None:
         if pick is None and policy_rng is None:
-            master = random.Random(config.seed)
-            policy_rng = random.Random(master.getrandbits(64))
-            swap_rng = random.Random(master.getrandbits(64))
+            policy_rng, swap_seed, _ = _streams(config.seed)
+            swap_rng = random.Random(swap_seed)
         self.session = session
         self.phi, self.alphabet = _start(phi0)
         self.store = QStore()
@@ -573,6 +574,17 @@ class Run:
         self.policy_rng = policy_rng
         self.swap_rng = swap_rng
         self.temperature, self.epsilon, self.eta = config.t0, config.eps0, config.eta0
+
+
+def _edge(run: Run, phi: Formula, action: GuiAction, state: GuiState) -> tuple[frozenset, StepRecord]:
+    """The value of ``run``'s edge table for a step from ``phi`` that
+    executed ``action`` into ``state``: the step's action labels and its
+    record, whose formula is the next obligation.  Computed at the run's
+    first visit to the edge."""
+    action_labels, labels = _step_labels(action, state, run.alphabet)
+    verdict = projection(phi, labels)
+    reward = shaped_reward(phi, verdict, run.config.shaping)
+    return action_labels, tuple.__new__(StepRecord, (action, labels, verdict.formula, reward))
 
 
 def run_episode(run: Run) -> EpisodeLog:
@@ -630,23 +642,19 @@ def run_episode(run: Run) -> EpisodeLog:
         key = (phi, action, state)
         edge = edges.get(key)
         if edge is None:
-            action_labels, labels = _step_labels(action, state, alphabet)
-            verdict = projection(phi, labels)
-            reward = shaped_reward(phi, verdict, config.shaping)
-            record = tuple.__new__(StepRecord, (action, labels, verdict.formula, reward))
-            edge = edges[key] = (action_labels, verdict, record)
-        action_labels, verdict, record = edge
+            edge = edges[key] = _edge(run, phi, action, state)
+        action_labels, record = edge
         if pick is None:
             learn(store, decision, record.reward, config, run.eta, run.swap_rng, action_labels)
             previous = decision
             if config.tail_length > 0:
                 tail = (tail + ((action.signature, state.id),))[-config.tail_length:]
-        phi = verdict.formula
+        phi = record.formula
         steps.append(record)
-        if verdict.is_true:
+        if phi is TRUE:
             outcome = "satisfied"
             break
-        if verdict.is_false:
+        if phi is FALSE:
             outcome = "falsified"
             break
     return tuple.__new__(EpisodeLog, (steps, outcome))
@@ -681,10 +689,8 @@ def _drive(
     policy: Callable[[random.Random], Pick] | None = None,
 ) -> GenerationResult:
     config.validate()
-    master = random.Random(config.seed)
-    policy_rng = random.Random(master.getrandbits(64))
-    swap_seed = master.getrandbits(64)
-    session = EnvSession(model, seed=master.getrandbits(64))
+    policy_rng, swap_seed, session_seed = _streams(config.seed)
+    session = EnvSession(model, seed=session_seed)
     pick = None if policy is None else policy(policy_rng)
     # Only the learner swaps its tables, so only it builds the swap stream.
     swap_rng = random.Random(swap_seed) if pick is None else None

@@ -352,8 +352,8 @@ def simplify(phi: Formula) -> Formula:
 
 
 class _Resolved(Interned):
-    # Resolved once, when a verdict is built: a step reads them and calls
-    # nothing.  Slots of a base class, so left out of repr and pickling.
+    # Resolved once, when a verdict is built, so reading them calls nothing.
+    # Slots of a base class, so left out of repr and pickling.
     __slots__ = ("is_true", "is_false")
 
 
@@ -369,35 +369,3 @@ class Verdict(_Resolved):
     def __new__(cls, formula: Formula) -> Verdict:
         return intern(cls, (formula,), (formula, formula is TRUE, formula is FALSE))
 
-
-# The parser binds ``!`` and ``X`` tightest, then ``U`` (to the right), then
-# ``&``, so render/parse round-trip structurally.
-_BINARY = (And, Until)
-
-
-def _wrap(phi: Formula, loose: type | tuple[type, ...]) -> str:
-    """``phi``'s text, in parentheses when it is a ``loose`` node."""
-    text = render(phi)
-    return f"({text})" if isinstance(phi, loose) else text
-
-
-def render(phi: Formula) -> str:
-    """Emit formula text; until associates right, and a conjunction prints
-    its conjuncts joined by ``&``, none of which needs parentheses."""
-    if isinstance(phi, Truth):
-        return "true"
-    if isinstance(phi, Atom):
-        return str(phi.ap)
-    if isinstance(phi, Not):
-        return "!" + _wrap(phi.operand, _BINARY)
-    if isinstance(phi, Next):
-        return "X " + _wrap(phi.operand, _BINARY)
-    if isinstance(phi, And):
-        # A loop, not map: a call from C would add a frame per nesting level.
-        parts = []
-        for conjunct in phi.conjuncts:
-            parts.append(render(conjunct))
-        return " & ".join(parts)
-    if isinstance(phi, Until):
-        return _wrap(phi.left, _BINARY) + " U " + _wrap(phi.right, And)
-    raise TypeError(f"not a formula: {phi!r}")

@@ -1,5 +1,7 @@
-"""Precedence-climbing parser for formula text (Pratt, "Top Down Operator
-Precedence", POPL 1973).
+"""Formula text both ways: a precedence-climbing parser (Pratt, "Top Down
+Operator Precedence", POPL 1973) and ``render``, which writes a tree back as
+text that parses to it.  Both take their binding powers from one table,
+``_BINARY``.
 
 Binary operators, loosest first::
 
@@ -19,10 +21,10 @@ Tokens are named tuples, the package's record idiom (``formula.Interned``).
 Nesting is bounded by the interpreter's stack: each parenthesis, prefix
 operator or right-associative operator takes a frame or two, and a deeper
 input ends in ``ParseError("formula nests too deeply")``.  The bound stays
-because the walkers that read a tree (``formula.render`` and
-``formula.simplify``, and progression's) recurse too, a frame or more per
-level, so a tree parsed past the frames would fail in them.  A node keeps
-only its children, so building a deep tree costs memory in its size alone.
+because the walkers that read a tree (``render`` and ``formula.simplify``,
+and progression's) recurse too, a frame or more per level, so a tree parsed
+past the frames would fail in them.  A node keeps only its children, so
+building a deep tree costs memory in its size alone.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .formula import And, Atom, AtomicProposition, FALSE, Formula, Not, Next, TRUE, Until
+from .formula import And, Atom, AtomicProposition, FALSE, Formula, Not, Next, TRUE, Truth, Until
 
 
 class ParseError(ValueError):
@@ -104,16 +106,23 @@ def _or(left: Formula, right: Formula) -> Formula:
     return Not(And(Not(left), Not(right)))
 
 
-# Each binary operator's binding power, associativity and desugaring.  The
-# right operand of a right-associative operator binds at the operator's own
-# power, any other at the next one up; a run of an n-ary operator builds one
-# node.
+# Each binary operator's binding power, associativity and desugaring; a run
+# of an n-ary operator builds one node.
 _BINARY = {
     "->": (1, "right", lambda left, right: _or(Not(left), right)),
     "|": (2, "left", _or),
     "&": (3, "n-ary", And),
     "U": (4, "right", Until),
 }
+# The power a binary operator's right operand binds at: the operator's own
+# for a right-associative one, the next one up for any other.  Every other
+# binary operand binds one power up, and a prefix operand above every
+# binary operator.
+_RIGHT_FLOOR = {
+    kind: power if associativity == "right" else power + 1
+    for kind, (power, associativity, _) in _BINARY.items()
+}
+_PREFIX_FLOOR = max(power for power, _, _ in _BINARY.values()) + 1
 _PREFIX = {
     "!": Not,
     "X": Next,
@@ -149,7 +158,7 @@ class _Parser:
             power, associativity, build = _BINARY[kind]
             if power < floor:
                 break
-            right_floor = power if associativity == "right" else power + 1
+            right_floor = _RIGHT_FLOOR[kind]
             self._take()
             operands = [phi, self.expression(self.operand(), right_floor)]
             while associativity == "n-ary" and self._peek().kind == kind:
@@ -187,3 +196,41 @@ def parse(text: str) -> Formula:
     if token.kind != "end":
         raise ParseError(f"unexpected {token.kind!r} after formula", token.pos)
     return phi
+
+
+def render(phi: Formula) -> str:
+    """Formula text that ``parse`` reads back as ``phi``, in parentheses
+    only where the binding powers need them: until associates right, and a
+    conjunction prints its conjuncts joined by ``&``, none of which needs
+    parentheses."""
+    return _text(phi, 0)
+
+
+def _text(phi: Formula, floor: int) -> str:
+    """``phi``'s text, in parentheses when its operator binds below ``floor``.
+
+    An operand's text comes from a call made in this frame, so a level of
+    the tree costs one frame."""
+    if isinstance(phi, Truth):
+        return "true"
+    if isinstance(phi, Atom):
+        return str(phi.ap)
+    if isinstance(phi, Not):
+        return "!" + _text(phi.operand, _PREFIX_FLOOR)
+    if isinstance(phi, Next):
+        return "X " + _text(phi.operand, _PREFIX_FLOOR)
+    if isinstance(phi, And):
+        kind, operands = "&", phi.conjuncts
+    elif isinstance(phi, Until):
+        kind, operands = "U", (phi.left, phi.right)
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
+    power = _BINARY[kind][0]
+    *inner, last = operands
+    # A loop, not map: a call from C would add a frame per nesting level.
+    parts = []
+    for operand in inner:
+        parts.append(_text(operand, power + 1))
+    parts.append(_text(last, _RIGHT_FLOOR[kind]))
+    text = f" {kind} ".join(parts)
+    return f"({text})" if power < floor else text

@@ -1,12 +1,18 @@
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltlgen.cli import (
     EXIT_EXHAUSTED,
@@ -461,6 +467,87 @@ def test_each_subcommand_accepts_its_flags():
 def test_exit_codes_are_distinct():
     codes = {EXIT_OK, EXIT_USAGE, EXIT_EXHAUSTED, EXIT_MODEL_ERROR, EXIT_FORMULA_ERROR}
     assert len(codes) == 5
+
+
+# What the exit-code property below feeds the command line: the values a
+# model or test file field is replaced with, formula tokens, valid or not,
+# knob values and repetition counts.
+FIELD_VALUES = (None, True, False, float("nan"), 2**70, "∅", [[1, ["x"]]], [])
+FORMULA_TOKENS = (
+    "[activity~Main]", "[activity~About]", "[actionType=click]", "[actionType=back]",
+    "[colour=red]", "[activity=", "]", "true", "false", "!", "X", "F", "G", "U", "&", "|",
+    "->", "(", ")", "Y",
+)
+KNOB_FLAGS = [knob.name.replace("_", "-") for knob in KNOBS]
+KNOB_VALUES = ("nan", "inf", "1e300", "-1", "0")
+COUNTS = ("-1", "0", "1", "2", "nan", "1e300")
+CHESSWALK_DATA = json.loads((MODELS / "chesswalk_abstract.json").read_text(encoding="utf-8"))
+TEST_RECORDS = [
+    {"type": "reinitialize", "params": ["MainActivity"]},
+    {"type": "back", "params": []},
+]
+
+
+@st.composite
+def mutated(draw, document):
+    """A copy of the JSON ``document`` with up to three fields, each at a
+    random depth, deleted or replaced by one of ``FIELD_VALUES``."""
+    document = copy.deepcopy(document)
+    for _ in range(draw(st.integers(0, 3))):
+        node = document
+        while node:
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(draw(st.sampled_from(FIELD_VALUES)))
+            break
+    return document
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_input_ends_in_a_documented_exit_code(data):
+    # The contract: no exception escapes, every exit code is documented, and
+    # an error that argparse does not report is one line on stderr.
+    draw = data.draw
+    command = draw(st.sampled_from(("generate", "replay", "experiment")))
+    formula = draw(st.one_of(
+        st.sampled_from(("X [activity~About]", "F [activity~About]", GO_ABOUT_AND_BACK)),
+        st.lists(st.sampled_from(FORMULA_TOKENS), max_size=8).map(" ".join),
+    ))
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        model = scratch / "model.json"
+        model.write_text(json.dumps(draw(mutated(CHESSWALK_DATA))), encoding="utf-8")
+        argv = [command, f"--model={model}", f"--formula={formula}"]
+        if command == "replay":
+            test_file = scratch / "test.json"
+            test_file.write_text(json.dumps(draw(mutated(TEST_RECORDS))), encoding="utf-8")
+            argv += [f"--test={test_file}", f"--times={draw(st.sampled_from(COUNTS))}"]
+        else:
+            argv += ["--episodes=3", "--steps=4"]
+            for flag in draw(st.lists(st.sampled_from(KNOB_FLAGS), max_size=2)):
+                argv.append(f"--{flag}={draw(st.sampled_from(KNOB_VALUES))}")
+            if command == "generate":
+                argv += [f"--output={scratch / 'out.json'}", f"--log={scratch / 'log.txt'}"]
+            else:
+                argv += [f"--csv={scratch / 'runs.csv'}", f"--reps={draw(st.sampled_from(COUNTS))}"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code, by_argparse = main(argv), False
+            except SystemExit as exit:
+                code, by_argparse = exit.code, True
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_EXHAUSTED, EXIT_MODEL_ERROR, EXIT_FORMULA_ERROR)
+    if by_argparse:
+        assert code == EXIT_USAGE
+    elif code in (EXIT_USAGE, EXIT_MODEL_ERROR, EXIT_FORMULA_ERROR):
+        assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
 
 
 def test_formula_file_input(tmp_path, capsys):

@@ -205,3 +205,14 @@ def test_a_long_disjunction_parses_in_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_a_long_step_sequence_renders_and_parses_back():
+    # A 300-step spec of the paper's shape, a & X (b & X (...)), at the
+    # default recursion limit: render spends fewer frames per level than
+    # parse, so a spec that parses also renders.
+    text = "[activity~End]"
+    for _ in range(299):
+        text = f"[actionType=click] & X ({text})"
+    phi = parse(text)
+    assert parse(render(phi)) is phi

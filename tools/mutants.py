@@ -29,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLI = "src/ltlgen/cli.py"
 ENGINE = "src/ltlgen/engine.py"
 FORMULA = "src/ltlgen/formula.py"
 MODEL = "src/ltlgen/model.py"
@@ -90,18 +91,23 @@ MUTANTS = (
     ("dead-end charge written into its edge", ENGINE,
      "steps[-1] = steps[-1]._replace(reward=-1.0)",
      "steps[-1] = steps[-1]._replace(reward=-1.0)\n"
-     "                    edges[key] = (*edge[:2], steps[-1])",
+     "                    edges[key] = (edge[0], steps[-1])",
      ("tests/test_engine.py::test_a_dead_end_charge_stays_with_its_episode",)),
     ("~ as a prefix match", FORMULA,
      "return self.value in observed", "return observed.startswith(self.value)",
      ("tests/test_formula.py::test_a_substring_predicate_matches_anywhere_in_the_value",)),
-    ("render wraps a right until operand", FORMULA,
-     "_wrap(phi.right, And)", "_wrap(phi.right, (And, Until))",
+    ("render wraps a right until operand", PARSER,
+     "parts.append(_text(last, _RIGHT_FLOOR[kind]))", "parts.append(_text(last, power + 1))",
      ("tests/test_formula.py::test_render_leaves_a_right_nested_until_bare",)),
+    # The left operand of an until binds at the until's own power, so a left
+    # until is printed bare and parses back to the right.
+    ("render's left until operand bare", PARSER,
+     "parts.append(_text(operand, power + 1))", "parts.append(_text(operand, power))",
+     ("tests/test_formula.py::test_render_canonical_forms",)),
     ("a one-conjunct conjunction", FORMULA,
      "if len(key) < 2:", "if not key:",
      ("tests/test_formula.py::test_a_conjunction_needs_two_conjuncts",)),
-    ("render prints what is not a formula", FORMULA,
+    ("render prints what is not a formula", PARSER,
      'raise TypeError(f"not a formula: {phi!r}")', "return repr(phi)",
      ("tests/test_formula.py::test_render_rejects_what_is_not_a_formula",)),
     ("-> left-associative", PARSER,
@@ -110,6 +116,33 @@ MUTANTS = (
     ("| binding tighter than &", PARSER,
      '"|": (2, "left", _or),', '"|": (5, "left", _or),',
      ("tests/test_parser.py::test_conjunction_binds_tighter_than_disjunction",)),
+    ("U left-associative", PARSER,
+     '"U": (4, "right", Until)', '"U": (4, "left", Until)',
+     ("tests/test_parser.py::test_until_is_right_associative",)),
+    ("G parsed as F", PARSER,
+     '"G": lambda phi: Not(Until(TRUE, Not(phi))),', '"G": lambda phi: Until(TRUE, phi),',
+     ("tests/test_parser.py::test_globally_desugars",)),
+    # The normal form's rules, one at a time.
+    ("no double-negation elimination", FORMULA,
+     "        if isinstance(operand, Not):\n            return operand.operand\n", "",
+     ("tests/test_formula.py::test_double_negation_false_conjunct_collapses_to_true",)),
+    ("no conjunct dedupe", FORMULA,
+     "dict.fromkeys(parts)", "parts",
+     ("tests/test_formula.py::test_duplicate_conjunct_is_dropped",)),
+    ("the context rule dropped", FORMULA,
+     "reduced = _in_context(conjuncts)", "reduced = conjuncts",
+     ("tests/test_formula.py::test_a_conjunct_holds_inside_the_others",)),
+    ("the subset rule dropped", FORMULA,
+     "if any(f in fails and own > set(f.conjuncts)",
+     "if False and any(f in fails and own > set(f.conjuncts)",
+     ("tests/test_formula.py::test_a_conjunct_holds_inside_the_others",)),
+    # A conjunction would be false under the same conjuncts in another order.
+    ("_given's proper subset as a subset", FORMULA,
+     "own > set(f.conjuncts)", "own >= set(f.conjuncts)",
+     ("tests/test_formula.py::test_reordered_negated_conjunction_is_not_its_own_context",)),
+    ("evaluate's until true at the trace end", PROGRESSION,
+     "        return False\n    return True  # truth", "        return True\n    return True  # truth",
+     ("tests/test_progression.py::test_until_needs_a_witness_inside_the_trace",)),
     ("weight-sum tolerance 1e-3", MODEL,
      "abs(total - 1.0) > 1e-9", "abs(total - 1.0) > 1e-3",
      ("tests/test_model.py::test_validation_rejects_weights_a_millionth_off_one",)),
@@ -129,9 +162,33 @@ MUTANTS = (
      "    return decision",
      "    return next(iter(candidates))",
      ("tests/test_engine.py::test_a_roll_above_the_rounded_sum_picks_the_last_candidate",)),
+    # The weights overflow, or round differently, without the shift.
+    ("softmax without its peak shift", ENGINE,
+     "exp(s - peak)", "exp(s)",
+     ("tests/test_random_models.py::test_policy_equals_the_reference_policy",)),
+    ("t_min == t0 rejected", ENGINE,
+     "if self.t_min > self.t0:", "if self.t_min >= self.t0:",
+     ("tests/test_engine.py::test_anneal_equals_the_max_form_bit_for_bit",)),
     ("swap on a roll of one half", ENGINE,
      "if rng.random() < 0.5:", "if rng.random() <= 0.5:",
      ("tests/test_engine.py::test_a_swap_roll_of_one_half_keeps_both_table_pairs",)),
+    ("log labels sorted by their text", CLI,
+     "key=lambda a: (a.key, a.op, a.value)", "key=str",
+     ("tests/test_records.py::test_labeling_text_sorts_by_fields_not_text",)),
+    ("replay's rate counts one satisfied attempt", CLI,
+     "            satisfied += 1", "            satisfied = 1",
+     ("tests/test_cli.py::test_pinned_artifact_digests[flaky-either-branch]",)),
+    ("a nesting RecursionError exits 2", CLI,
+     'nests too deeply", file=sys.stderr)\n        return EXIT_FORMULA_ERROR',
+     'nests too deeply", file=sys.stderr)\n        return EXIT_USAGE',
+     ("tests/test_cli.py::test_deep_nesting_exits_with_one_line[until-chain]",)),
+    # An invalid knob, --times or --reps escapes main as a traceback.
+    ("cli.main without its ValueError arm", CLI,
+     '    except ValueError as exc:\n'
+     '        print(f"invalid configuration: {exc}", file=sys.stderr)\n'
+     '        return EXIT_USAGE\n',
+     "",
+     ("tests/test_cli.py::test_every_input_ends_in_a_documented_exit_code",)),
     ("session roll on a partial sum taken", MODEL,
      "if roll < acc:", "if roll <= acc:",
      ("tests/test_model.py::test_a_roll_on_a_partial_weight_sum_goes_to_the_next_successor",)),
